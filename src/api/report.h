@@ -4,8 +4,8 @@
 // Before this helper every example re-implemented its own metric printfs and
 // every bench its own counter wiring; the columns drifted. Now "judge an
 // artifact" is a single code path: trees get root-stretch columns, spanners
-// pairwise-stretch columns, nets covering/separation certificates, and
-// estimates copy their scalar quality from the diagnostics.
+// edge-stretch and lightness columns, nets covering/separation certificates,
+// and estimates copy their scalar quality from the diagnostics.
 #pragma once
 
 #include <cstdio>
@@ -27,8 +27,9 @@ struct QualityReport {
 };
 
 // Computes the kind's quality metrics with the exact sequential verifiers
-// in graph/metrics. O(n · Dijkstra) for tree/spanner kinds — verification
-// scale, not simulation scale.
+// in graph/metrics. Trees cost four full searches. Spanners cost one
+// early-stopped search per lower endpoint of a G-edge missing from the
+// spanner, and nets one per net point (see graph/metrics.h).
 QualityReport evaluate_artifact(const WeightedGraph& g, ArtifactKind kind,
                                 const Artifact& artifact);
 

@@ -21,23 +21,38 @@ double lightness(const WeightedGraph& g, std::span<const EdgeId> spanner) {
 double max_edge_stretch(const WeightedGraph& g,
                         std::span<const EdgeId> spanner) {
   const WeightedGraph h = g.edge_subgraph(spanner);
+  if (g.num_edges() == 0) return 0.0;
+  std::vector<char> in_h(static_cast<size_t>(g.num_edges()), 0);
+  for (EdgeId id : spanner) in_h[static_cast<size_t>(id)] = 1;
+  // Only edges missing from H need a search: one from the lower endpoint,
+  // ending when its last missing neighbour settles.
+  std::vector<char> target(static_cast<size_t>(g.num_vertices()), 0);
+  std::vector<Incidence> missing;
+  DijkstraWorkspace ws;
   double worst = 0.0;
-  // One Dijkstra in H per vertex covers all incident G-edges.
   for (VertexId u = 0; u < g.num_vertices(); ++u) {
-    bool has_forward_edge = false;
-    for (const Incidence& inc : g.incident(u))
-      if (inc.neighbor > u) has_forward_edge = true;
-    if (!has_forward_edge) continue;
-    const ShortestPathTree t = dijkstra(h, u);
+    missing.clear();
     for (const Incidence& inc : g.incident(u)) {
-      if (inc.neighbor <= u) continue;
-      const Weight dh = t.dist[static_cast<size_t>(inc.neighbor)];
+      if (inc.neighbor <= u || in_h[static_cast<size_t>(inc.edge)]) continue;
+      missing.push_back(inc);
+      target[static_cast<size_t>(inc.neighbor)] = 1;
+    }
+    if (missing.empty()) continue;
+    const VertexId source[] = {u};
+    ws.search(h, source, kInfiniteDistance, target, missing.size());
+    for (const Incidence& inc : missing) {
+      target[static_cast<size_t>(inc.neighbor)] = 0;
+      const Weight dh = ws.result().dist[static_cast<size_t>(inc.neighbor)];
       LN_ASSERT_MSG(dh != kInfiniteDistance,
                     "spanner disconnects an edge's endpoints");
       worst = std::max(worst, dh / g.edge(inc.edge).w);
     }
   }
-  return worst;
+  // The skipped H-edges have ratio at most 1 (the edge itself is a path).
+  // G's lightest edge has ratio exactly 1 if it is in H, and at least 1 if
+  // not, since every path in H has an edge no lighter than it. So the
+  // maximum over all of G's edges is max(1, worst), bit for bit.
+  return std::max(1.0, worst);
 }
 
 double max_pairwise_stretch(const WeightedGraph& g,
@@ -106,14 +121,21 @@ NetCheck check_net(const WeightedGraph& g, std::span<const VertexId> net,
         std::max(result.worst_cover_distance, ms.dist[static_cast<size_t>(v)]);
   result.covering = result.worst_cover_distance <= alpha + 1e-9;
 
+  // Vertices settle in distance order, so the first other net point a
+  // search from s settles is the one nearest to s.
+  std::vector<char> in_net(static_cast<size_t>(g.num_vertices()), 0);
+  for (VertexId s : net) in_net[static_cast<size_t>(s)] = 1;
   result.min_pair_distance = kInfiniteDistance;
+  DijkstraWorkspace ws;
   for (VertexId s : net) {
-    const ShortestPathTree t = dijkstra(g, s);
-    for (VertexId o : net) {
-      if (o == s) continue;
+    in_net[static_cast<size_t>(s)] = 0;
+    const VertexId source[] = {s};
+    const VertexId nearest = ws.search(g, source, kInfiniteDistance, in_net, 1);
+    in_net[static_cast<size_t>(s)] = 1;
+    if (nearest != kNoVertex)
       result.min_pair_distance =
-          std::min(result.min_pair_distance, t.dist[static_cast<size_t>(o)]);
-    }
+          std::min(result.min_pair_distance,
+                   ws.result().dist[static_cast<size_t>(nearest)]);
   }
   result.separated =
       net.size() <= 1 || result.min_pair_distance > beta - 1e-9;

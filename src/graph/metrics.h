@@ -18,7 +18,11 @@ double lightness(const WeightedGraph& g, std::span<const EdgeId> spanner);
 // max over edges {u,v} of G of d_H(u,v) / w(u,v).
 // By the triangle inequality this upper-bounds the all-pairs stretch, and is
 // the certificate the paper's stretch proofs establish (§5.1 "it suffices to
-// show for every edge").
+// show for every edge"). 0 for an edgeless G. Cost: one search in H from the
+// lower endpoint of each G-edge missing from H, stopped once its last such
+// neighbour settles; edges of H have ratio at most 1, so the result is
+// max(1, largest ratio found). Throws std::logic_error if H cuts an edge's
+// endpoints apart.
 double max_edge_stretch(const WeightedGraph& g,
                         std::span<const EdgeId> spanner);
 
@@ -37,6 +41,8 @@ double average_root_stretch(const WeightedGraph& g,
 
 // Checks a net: every vertex within `alpha` of some net point (covering) and
 // all net points pairwise farther than `beta` (separation). Distances in G.
+// Cost: one multi-source search for the covering, plus one search per net
+// point that stops at the nearest other net point.
 struct NetCheck {
   bool covering = false;
   bool separated = false;

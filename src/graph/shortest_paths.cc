@@ -2,65 +2,93 @@
 
 #include <algorithm>
 #include <deque>
-#include <queue>
+#include <functional>
 
 #include "support/assert.h"
 
 namespace lightnet {
 
-namespace {
+VertexId DijkstraWorkspace::search(const WeightedGraph& g,
+                                   std::span<const VertexId> sources,
+                                   Weight bound,
+                                   std::span<const char> targets,
+                                   size_t stop_after) {
+  const size_t n = static_cast<size_t>(g.num_vertices());
+  LN_REQUIRE(targets.empty() || targets.size() == n,
+             "targets needs one flag per vertex");
+  if (r_.dist.size() != n) {
+    r_.dist.assign(n, kInfiniteDistance);
+    r_.parent.assign(n, kNoVertex);
+    r_.parent_edge.assign(n, kNoEdge);
+    r_.owner.assign(n, kNoVertex);
+    touched_.clear();
+    touched_.reserve(n);
+  }
+  for (VertexId v : touched_) {
+    r_.dist[static_cast<size_t>(v)] = kInfiniteDistance;
+    r_.parent[static_cast<size_t>(v)] = kNoVertex;
+    r_.parent_edge[static_cast<size_t>(v)] = kNoEdge;
+    r_.owner[static_cast<size_t>(v)] = kNoVertex;
+  }
+  touched_.clear();
+  r_.stale_entries = 0;
 
-struct QueueEntry {
-  Weight dist;
-  VertexId vertex;
-  bool operator>(const QueueEntry& o) const { return dist > o.dist; }
-};
+  // Reserve for the common case (every vertex settled once plus slack for
+  // re-pushes); avoids the heap's geometric reallocation chain. The heap is
+  // driven exactly as std::priority_queue drives it, so ties pop in the
+  // same order.
+  heap_.clear();
+  heap_.reserve(n + sources.size());
+  const auto push = [this](Weight d, VertexId v) {
+    heap_.push_back({d, v});
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<QueueEntry>{});
+  };
+  for (VertexId s : sources) {
+    LN_REQUIRE(s >= 0 && s < g.num_vertices(), "source out of range");
+    if (0.0 > bound) continue;  // degenerate bound: nothing is reachable
+    if (r_.dist[static_cast<size_t>(s)] == kInfiniteDistance)
+      touched_.push_back(s);
+    r_.dist[static_cast<size_t>(s)] = 0.0;
+    r_.owner[static_cast<size_t>(s)] = s;
+    push(0.0, s);
+  }
+  size_t settled_targets = 0;
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<QueueEntry>{});
+    const auto [d, v] = heap_.back();
+    heap_.pop_back();
+    if (d > r_.dist[static_cast<size_t>(v)]) {  // superseded, decrease-key-free
+      ++r_.stale_entries;
+      continue;
+    }
+    if (!targets.empty() && targets[static_cast<size_t>(v)] &&
+        ++settled_targets == stop_after)
+      return v;
+    for (const Incidence& inc : g.incident(v)) {
+      const Weight nd = d + g.edge(inc.edge).w;
+      if (nd > bound) continue;
+      const size_t u = static_cast<size_t>(inc.neighbor);
+      if (nd < r_.dist[u]) {
+        if (r_.dist[u] == kInfiniteDistance) touched_.push_back(inc.neighbor);
+        r_.dist[u] = nd;
+        r_.parent[u] = v;
+        r_.parent_edge[u] = inc.edge;
+        r_.owner[u] = r_.owner[static_cast<size_t>(v)];
+        push(nd, inc.neighbor);
+      }
+    }
+  }
+  return kNoVertex;
+}
+
+namespace {
 
 MultiSourceResult run_dijkstra(const WeightedGraph& g,
                                std::span<const VertexId> sources,
                                Weight bound) {
-  const size_t n = static_cast<size_t>(g.num_vertices());
-  MultiSourceResult r;
-  r.dist.assign(n, kInfiniteDistance);
-  r.parent.assign(n, kNoVertex);
-  r.parent_edge.assign(n, kNoEdge);
-  r.owner.assign(n, kNoVertex);
-
-  // Reserve for the common case (every vertex settled once plus slack for
-  // re-pushes); avoids the heap's geometric reallocation chain.
-  std::vector<QueueEntry> heap_storage;
-  heap_storage.reserve(n + sources.size());
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>,
-                      std::greater<QueueEntry>>
-      pq(std::greater<QueueEntry>{}, std::move(heap_storage));
-  for (VertexId s : sources) {
-    LN_REQUIRE(s >= 0 && s < g.num_vertices(), "source out of range");
-    if (0.0 > bound) continue;  // degenerate bound: nothing is reachable
-    r.dist[static_cast<size_t>(s)] = 0.0;
-    r.owner[static_cast<size_t>(s)] = s;
-    pq.push({0.0, s});
-  }
-  while (!pq.empty()) {
-    auto [d, v] = pq.top();
-    pq.pop();
-    if (d > r.dist[static_cast<size_t>(v)]) {  // superseded, decrease-key-free
-      ++r.stale_entries;
-      continue;
-    }
-    for (const Incidence& inc : g.incident(v)) {
-      const Weight nd = d + g.edge(inc.edge).w;
-      if (nd > bound) continue;
-      if (nd < r.dist[static_cast<size_t>(inc.neighbor)]) {
-        r.dist[static_cast<size_t>(inc.neighbor)] = nd;
-        r.parent[static_cast<size_t>(inc.neighbor)] = v;
-        r.parent_edge[static_cast<size_t>(inc.neighbor)] = inc.edge;
-        r.owner[static_cast<size_t>(inc.neighbor)] =
-            r.owner[static_cast<size_t>(v)];
-        pq.push({nd, inc.neighbor});
-      }
-    }
-  }
-  return r;
+  DijkstraWorkspace ws;
+  ws.search(g, sources, bound);
+  return std::move(ws).take_result();
 }
 
 }  // namespace

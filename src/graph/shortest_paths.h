@@ -6,9 +6,11 @@
 // by the sequential baselines.
 #pragma once
 
+#include <cstddef>
 #include <limits>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.h"
@@ -53,6 +55,40 @@ MultiSourceResult multi_source_dijkstra(const WeightedGraph& g,
                                         std::span<const VertexId> sources);
 MultiSourceResult multi_source_dijkstra_bounded(
     const WeightedGraph& g, std::span<const VertexId> sources, Weight bound);
+
+// Dijkstra state reused across many searches, as the quality verifiers run
+// one search per source vertex. A search resets only the entries the
+// previous one touched and keeps the heap's capacity, so a search that stops
+// early costs what it explored rather than O(n). Every function above is one
+// search on a fresh workspace.
+class DijkstraWorkspace {
+ public:
+  // Searches `g` from `sources`, settling no vertex beyond `bound`. With a
+  // nonempty `targets` (one flag per vertex) the search ends as soon as
+  // `stop_after` flagged vertices have settled, and returns the last of them
+  // (kNoVertex if it ran out first). Settled vertices carry their final
+  // dist/parent/parent_edge/owner, bitwise equal to a full search's, because
+  // the search up to the stop is that search's prefix; the other entries are
+  // tentative.
+  VertexId search(const WeightedGraph& g, std::span<const VertexId> sources,
+                  Weight bound = kInfiniteDistance,
+                  std::span<const char> targets = {}, size_t stop_after = 0);
+
+  // The last search's arrays, one entry per vertex of its graph.
+  const MultiSourceResult& result() const { return r_; }
+  MultiSourceResult take_result() && { return std::move(r_); }
+
+ private:
+  struct QueueEntry {
+    Weight dist;
+    VertexId vertex;
+    bool operator>(const QueueEntry& o) const { return dist > o.dist; }
+  };
+
+  MultiSourceResult r_;
+  std::vector<VertexId> touched_;  // vertices whose dist is finite in r_
+  std::vector<QueueEntry> heap_;   // min-heap under std::greater
+};
 
 // All-pairs distances via n Dijkstra runs; intended for n up to a few
 // thousand (verification scale).

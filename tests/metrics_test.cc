@@ -2,15 +2,178 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <stdexcept>
 
+#include "api/registry.h"
+#include "baseline/sequential_net.h"
 #include "graph/generators.h"
 #include "graph/mst.h"
 #include "graph/shortest_paths.h"
+#include "support/assert.h"
+#include "support/rng.h"
 #include "tests/test_util.h"
 
 namespace lightnet {
 namespace {
+
+// The oracles: the verifiers as full searches, one complete Dijkstra in H
+// from every vertex with a higher-id neighbour, and one in G from every net
+// point. The library's output-sensitive versions must match them bit for bit.
+double full_search_edge_stretch(const WeightedGraph& g,
+                                std::span<const EdgeId> spanner) {
+  const WeightedGraph h = g.edge_subgraph(spanner);
+  double worst = 0.0;
+  for (VertexId u = 0; u < g.num_vertices(); ++u) {
+    bool has_forward_edge = false;
+    for (const Incidence& inc : g.incident(u))
+      if (inc.neighbor > u) has_forward_edge = true;
+    if (!has_forward_edge) continue;
+    const ShortestPathTree t = dijkstra(h, u);
+    for (const Incidence& inc : g.incident(u)) {
+      if (inc.neighbor <= u) continue;
+      const Weight dh = t.dist[static_cast<size_t>(inc.neighbor)];
+      LN_ASSERT_MSG(dh != kInfiniteDistance,
+                    "spanner disconnects an edge's endpoints");
+      worst = std::max(worst, dh / g.edge(inc.edge).w);
+    }
+  }
+  return worst;
+}
+
+NetCheck full_search_check_net(const WeightedGraph& g,
+                               std::span<const VertexId> net, double alpha,
+                               double beta) {
+  NetCheck result;
+  if (net.empty()) {
+    result.covering = g.num_vertices() == 0;
+    result.separated = true;
+    return result;
+  }
+  const MultiSourceResult ms = multi_source_dijkstra(g, net);
+  result.worst_cover_distance = 0.0;
+  for (VertexId v = 0; v < g.num_vertices(); ++v)
+    result.worst_cover_distance =
+        std::max(result.worst_cover_distance, ms.dist[static_cast<size_t>(v)]);
+  result.covering = result.worst_cover_distance <= alpha + 1e-9;
+  result.min_pair_distance = kInfiniteDistance;
+  for (VertexId s : net) {
+    const ShortestPathTree t = dijkstra(g, s);
+    for (VertexId o : net) {
+      if (o == s) continue;
+      result.min_pair_distance =
+          std::min(result.min_pair_distance, t.dist[static_cast<size_t>(o)]);
+    }
+  }
+  result.separated =
+      net.size() <= 1 || result.min_pair_distance > beta - 1e-9;
+  return result;
+}
+
+// EXPECT_EQ on doubles: the values must be identical, not merely close.
+void expect_stretch_matches_oracle(const WeightedGraph& g,
+                                   std::span<const EdgeId> spanner,
+                                   const std::string& context) {
+  double expected = 0.0;
+  try {
+    expected = full_search_edge_stretch(g, spanner);
+  } catch (const std::logic_error&) {
+    EXPECT_THROW(max_edge_stretch(g, spanner), std::logic_error) << context;
+    return;
+  }
+  EXPECT_EQ(max_edge_stretch(g, spanner), expected) << context;
+}
+
+void expect_net_check_matches_oracle(const WeightedGraph& g,
+                                     std::span<const VertexId> net,
+                                     double alpha, double beta,
+                                     const std::string& context) {
+  const NetCheck expected = full_search_check_net(g, net, alpha, beta);
+  const NetCheck got = check_net(g, net, alpha, beta);
+  EXPECT_EQ(got.covering, expected.covering) << context;
+  EXPECT_EQ(got.separated, expected.separated) << context;
+  EXPECT_EQ(got.worst_cover_distance, expected.worst_cover_distance)
+      << context;
+  EXPECT_EQ(got.min_pair_distance, expected.min_pair_distance) << context;
+}
+
+// The small zoo plus unit-weight graphs, where equal distances tie.
+std::vector<testing::NamedGraph> oracle_graphs() {
+  std::vector<testing::NamedGraph> graphs = testing::small_graph_zoo();
+  graphs.push_back({"grid6x6_unit", grid(6, 6, /*perturb=*/false, 21)});
+  graphs.push_back({"path12_unit", path_graph(12, WeightLaw::kUnit, 1.0, 22)});
+  graphs.push_back(
+      {"er24_unit", erdos_renyi(24, 0.3, WeightLaw::kUnit, 1.0, 23)});
+  return graphs;
+}
+
+// MST, MST plus a seeded random third of the other edges, all edges, and
+// all edges but the lightest (which cuts a bridge apart on trees).
+std::vector<std::pair<std::string, std::vector<EdgeId>>> oracle_spanners(
+    const WeightedGraph& g, std::uint64_t seed) {
+  std::vector<std::pair<std::string, std::vector<EdgeId>>> spanners;
+  const std::vector<EdgeId> mst = kruskal_mst(g);
+  spanners.emplace_back("mst", mst);
+  std::vector<char> in_mst(static_cast<size_t>(g.num_edges()), 0);
+  for (EdgeId id : mst) in_mst[static_cast<size_t>(id)] = 1;
+  std::vector<EdgeId> mst_plus = mst;
+  Rng rng(seed);
+  for (EdgeId id = 0; id < g.num_edges(); ++id)
+    if (!in_mst[static_cast<size_t>(id)] && rng.next_bernoulli(1.0 / 3.0))
+      mst_plus.push_back(id);
+  spanners.emplace_back("mst_plus_random", mst_plus);
+  std::vector<EdgeId> all(static_cast<size_t>(g.num_edges()));
+  std::iota(all.begin(), all.end(), 0);
+  spanners.emplace_back("all", all);
+  const auto lightest = std::min_element(
+      all.begin(), all.end(),
+      [&g](EdgeId a, EdgeId b) { return g.edge(a).w < g.edge(b).w; });
+  std::vector<EdgeId> without_lightest = all;
+  without_lightest.erase(without_lightest.begin() + (lightest - all.begin()));
+  spanners.emplace_back("all_but_lightest", without_lightest);
+  return spanners;
+}
+
+TEST(Metrics, EdgeStretchMatchesFullSearchOracleOnZoo) {
+  std::uint64_t seed = 1;
+  for (const auto& [name, g] : oracle_graphs())
+    for (const auto& [label, spanner] : oracle_spanners(g, seed++))
+      expect_stretch_matches_oracle(g, spanner, name + "/" + label);
+}
+
+TEST(Metrics, EdgeStretchMatchesFullSearchOracleOnRegistrySpanners) {
+  for (const auto& [name, g] : testing::medium_graph_zoo()) {
+    for (const api::Construction* c : api::all_constructions()) {
+      if (c->kind() != api::ArtifactKind::kSpanner) continue;
+      const api::Artifact a = c->run(g, api::ConstructionParams{}, {});
+      expect_stretch_matches_oracle(g, a.edges,
+                                    name + "/" + std::string(c->name()));
+    }
+  }
+}
+
+TEST(Metrics, EdgeStretchWhenTheLightestEdgeIsMissing) {
+  // Without the weight-1 edge {0,1} its detour 0-2-1 costs 2.5 + 2.
+  const WeightedGraph g = WeightedGraph::from_edges(
+      3, {{0, 1, 1.0}, {1, 2, 2.0}, {0, 2, 2.5}});
+  const std::vector<EdgeId> spanner{1, 2};
+  EXPECT_EQ(max_edge_stretch(g, spanner), 4.5);
+  EXPECT_EQ(full_search_edge_stretch(g, spanner), 4.5);
+}
+
+TEST(Metrics, EdgeStretchOfAnEdgelessGraphIsZero) {
+  const WeightedGraph g = WeightedGraph::from_edges(5, {});
+  EXPECT_EQ(max_edge_stretch(g, {}), 0.0);
+  EXPECT_EQ(full_search_edge_stretch(g, {}), 0.0);
+  EXPECT_EQ(max_edge_stretch(WeightedGraph::from_edges(0, {}), {}), 0.0);
+}
+
+TEST(Metrics, EdgeStretchThrowsWhenTheSpannerCutsAnEdge) {
+  const WeightedGraph g = path_graph(6, WeightLaw::kUniform, 10.0, 3);
+  const std::vector<EdgeId> spanner{0, 1, 3, 4};  // edge 2 is a bridge
+  EXPECT_THROW(max_edge_stretch(g, spanner), std::logic_error);
+}
 
 TEST(Metrics, LightnessOfMstIsOne) {
   for (const auto& [name, g] : testing::small_graph_zoo()) {
@@ -87,6 +250,63 @@ TEST(Metrics, CheckNetRejectsBadSeparation) {
   const std::vector<VertexId> net{0, 1, 4, 8};
   const NetCheck check = check_net(g, net, 4.0, 2.0);
   EXPECT_FALSE(check.separated);
+}
+
+TEST(Metrics, CheckNetMatchesFullSearchOracleOnZoo) {
+  std::uint64_t seed = 1;
+  for (const auto& [name, g] : oracle_graphs()) {
+    const double unit = mst_weight(g) / (g.num_vertices() - 1);
+    for (const double scale : {0.5, 1.0, 2.0, 4.0}) {
+      const double beta = scale * unit;
+      expect_net_check_matches_oracle(g, greedy_net(g, beta), beta, beta,
+                                      name + "/greedy");
+    }
+    // A seeded random subset with its first point repeated at the end.
+    Rng rng(seed++);
+    std::vector<VertexId> net;
+    for (VertexId v = 0; v < g.num_vertices(); ++v)
+      if (rng.next_bernoulli(0.2)) net.push_back(v);
+    if (net.empty()) net.push_back(0);
+    net.push_back(net.front());
+    expect_net_check_matches_oracle(g, net, 2.0 * unit, unit,
+                                    name + "/random");
+    const std::vector<VertexId> one_point{g.num_vertices() / 2};
+    expect_net_check_matches_oracle(g, one_point, unit, unit,
+                                    name + "/one_point");
+  }
+}
+
+TEST(Metrics, CheckNetMatchesFullSearchOracleOnRegistryNets) {
+  for (const auto& [name, g] : testing::medium_graph_zoo()) {
+    for (const api::Construction* c : api::all_constructions()) {
+      if (c->kind() != api::ArtifactKind::kNet) continue;
+      const api::Artifact a = c->run(g, api::ConstructionParams{}, {});
+      const double radius = api::net_radius_for(g, api::ConstructionParams{});
+      expect_net_check_matches_oracle(g, a.vertices, radius, radius,
+                                      name + "/" + std::string(c->name()));
+    }
+  }
+}
+
+TEST(Metrics, CheckNetOnePointNetHasNoPair) {
+  const WeightedGraph g = path_graph(9, WeightLaw::kUnit, 1.0, 1);
+  const std::vector<VertexId> net{4};
+  const NetCheck check = check_net(g, net, 4.0, 2.0);
+  EXPECT_EQ(check.min_pair_distance, kInfiniteDistance);
+  EXPECT_TRUE(check.separated);
+  EXPECT_TRUE(check.covering);
+}
+
+TEST(Metrics, CheckNetDuplicateEntriesAreNotPairs) {
+  const WeightedGraph g = path_graph(9, WeightLaw::kUnit, 1.0, 1);
+  const std::vector<VertexId> twice{4, 4};
+  EXPECT_EQ(check_net(g, twice, 4.0, 2.0).min_pair_distance,
+            kInfiniteDistance);
+  const std::vector<VertexId> net{0, 0, 4, 8, 4};
+  const NetCheck check = check_net(g, net, 4.0, 2.0);
+  EXPECT_EQ(check.min_pair_distance, 4.0);
+  EXPECT_TRUE(check.separated);
+  expect_net_check_matches_oracle(g, net, 4.0, 2.0, "path9/duplicates");
 }
 
 TEST(Metrics, DoublingDimensionOrdersFamilies) {

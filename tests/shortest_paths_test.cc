@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "graph/generators.h"
+#include "support/rng.h"
 #include "tests/test_util.h"
 
 namespace lightnet {
@@ -87,6 +90,96 @@ TEST(Dijkstra, AgreesWithAllPairsOnZoo) {
           << name;
     }
   }
+}
+
+TEST(DijkstraWorkspace, ReusedWorkspaceMatchesFreshSearches) {
+  // One workspace across every source of every zoo graph (so it also
+  // resizes between graphs), with a bounded search in between to leave
+  // tentative entries behind.
+  DijkstraWorkspace ws;
+  for (const auto& [name, g] : testing::small_graph_zoo()) {
+    for (VertexId s = 0; s < g.num_vertices(); ++s) {
+      const VertexId source[] = {s};
+      ws.search(g, source);
+      const ShortestPathTree fresh = dijkstra(g, s);
+      EXPECT_EQ(ws.result().dist, fresh.dist) << name << " from " << s;
+      EXPECT_EQ(ws.result().parent, fresh.parent) << name << " from " << s;
+      EXPECT_EQ(ws.result().parent_edge, fresh.parent_edge)
+          << name << " from " << s;
+
+      const Weight bound = fresh.dist[static_cast<size_t>(
+          (s + 1) % g.num_vertices())];
+      ws.search(g, source, bound);
+      const ShortestPathTree bounded = dijkstra_bounded(g, s, bound);
+      EXPECT_EQ(ws.result().dist, bounded.dist) << name << " from " << s;
+      EXPECT_EQ(ws.result().parent, bounded.parent) << name << " from " << s;
+    }
+    const VertexId sources[] = {0, static_cast<VertexId>(g.num_vertices() - 1)};
+    ws.search(g, sources);
+    const MultiSourceResult fresh = multi_source_dijkstra(g, sources);
+    EXPECT_EQ(ws.result().dist, fresh.dist) << name;
+    EXPECT_EQ(ws.result().owner, fresh.owner) << name;
+    EXPECT_EQ(ws.result().stale_entries, fresh.stale_entries) << name;
+  }
+}
+
+TEST(DijkstraWorkspace, EarlyStopAgreesOnEverySettledTarget) {
+  DijkstraWorkspace ws;
+  std::uint64_t seed = 1;
+  for (const auto& [name, g] : testing::small_graph_zoo()) {
+    const size_t n = static_cast<size_t>(g.num_vertices());
+    Rng rng(seed++);
+    for (VertexId s = 0; s < g.num_vertices(); ++s) {
+      std::vector<char> target(n, 0);
+      std::vector<VertexId> targets;
+      for (VertexId v = 0; v < g.num_vertices(); ++v) {
+        if (v == s || !rng.next_bernoulli(0.15)) continue;
+        target[static_cast<size_t>(v)] = 1;
+        targets.push_back(v);
+      }
+      if (targets.empty()) continue;
+      const ShortestPathTree full = dijkstra(g, s);
+      const VertexId source[] = {s};
+
+      // Stop at the last target: every target has settled.
+      const VertexId last = ws.search(g, source, kInfiniteDistance, target,
+                                      targets.size());
+      ASSERT_NE(last, kNoVertex) << name;
+      EXPECT_TRUE(target[static_cast<size_t>(last)]) << name;
+      for (VertexId t : targets) {
+        const size_t i = static_cast<size_t>(t);
+        EXPECT_EQ(ws.result().dist[i], full.dist[i]) << name << " " << t;
+        EXPECT_EQ(ws.result().parent[i], full.parent[i]) << name << " " << t;
+        EXPECT_EQ(ws.result().parent_edge[i], full.parent_edge[i])
+            << name << " " << t;
+      }
+
+      // Stop at the first target: the nearest one.
+      const VertexId nearest =
+          ws.search(g, source, kInfiniteDistance, target, 1);
+      ASSERT_NE(nearest, kNoVertex) << name;
+      const size_t i = static_cast<size_t>(nearest);
+      Weight closest = kInfiniteDistance;
+      for (VertexId t : targets)
+        closest = std::min(closest, full.dist[static_cast<size_t>(t)]);
+      EXPECT_EQ(ws.result().dist[i], closest) << name;
+      EXPECT_EQ(ws.result().parent[i], full.parent[i]) << name;
+      EXPECT_EQ(ws.result().parent_edge[i], full.parent_edge[i]) << name;
+    }
+  }
+}
+
+TEST(DijkstraWorkspace, UnreachableTargetsRunTheSearchOut) {
+  const WeightedGraph g =
+      WeightedGraph::from_edges(4, {{0, 1, 1.0}, {2, 3, 1.0}});
+  std::vector<char> target(4, 0);
+  target[1] = 1;
+  target[3] = 1;
+  DijkstraWorkspace ws;
+  const VertexId source[] = {0};
+  EXPECT_EQ(ws.search(g, source, kInfiniteDistance, target, 2), kNoVertex);
+  EXPECT_EQ(ws.result().dist[1], 1.0);
+  EXPECT_EQ(ws.result().dist[3], kInfiniteDistance);
 }
 
 TEST(BfsHops, MatchesUnweightedDistances) {
