@@ -1,7 +1,9 @@
 #include "api/registry.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "baseline/greedy_spanner.h"
 #include "congest/bfs.h"
@@ -303,16 +305,25 @@ class BfsTreeConstruction final : public Construction {
         ctx.sched.fault.enabled()
             ? congest::build_bfs_tree_reliable(g, p.root, ctx.sched)
             : congest::build_bfs_tree(g, p.root, ctx.sched);
-    Artifact a;
-    a.edges.reserve(static_cast<size_t>(r.reached) - 1);
+    // Parent edges are distinct (a tree has no 2-cycles), so an ascending
+    // scan of a bitmap over edge ids lists them sorted without a sort.
+    std::vector<std::uint64_t> parent_edges(
+        (static_cast<size_t>(g.num_edges()) + 63) / 64, 0);
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
       const VertexId parent = r.parent[static_cast<size_t>(v)];
       if (parent == kNoVertex) continue;
       const EdgeId e = g.find_edge(v, parent);
       LN_ASSERT(e != kNoEdge);
-      a.edges.push_back(e);
+      parent_edges[static_cast<size_t>(e) >> 6] |= 1ull << (e & 63);
     }
-    std::sort(a.edges.begin(), a.edges.end());
+    Artifact a;
+    a.edges.reserve(static_cast<size_t>(r.reached) - 1);
+    for (size_t i = 0; i < parent_edges.size(); ++i) {
+      for (std::uint64_t bits = parent_edges[i]; bits != 0; bits &= bits - 1) {
+        const int b = std::countr_zero(bits);
+        a.edges.push_back(static_cast<EdgeId>(i * 64 + static_cast<size_t>(b)));
+      }
+    }
     a.ledger.add("bfs-flood", r.cost);
     deposit(ctx, a.ledger, "bfs_tree");
     push(a.diagnostics, "root", p.root);

@@ -111,6 +111,9 @@ Scheduler::Scheduler(const Network& network,
       for (VertexId v = views[static_cast<size_t>(s)].begin;
            v < views[static_cast<size_t>(s)].end; ++v)
         shard_of_[static_cast<size_t>(v)] = static_cast<std::uint8_t>(s);
+      if (options_.channels > 1)
+        shards_[static_cast<size_t>(s)].channel_max_load.assign(
+            static_cast<size_t>(options_.channels), 0);
     }
     lanes_.resize(static_cast<size_t>(t));
     for (Lane& lane : lanes_) {
@@ -200,16 +203,13 @@ void Scheduler::enqueue_resolved(int lane, VertexId from, VertexId to,
                                  EdgeId edge, std::uint32_t dir_slot,
                                  const Message& msg) {
   LN_ASSERT_MSG(msg.size <= kMaxWords, "message exceeds word budget");
-  // A directed slot has a single sender, so lanes update the load and the
-  // per-slot touch mark without synchronization. An edge used in both
-  // directions is listed once per direction; flush_edge_loads folds the
-  // duplicate idempotently.
-  if (edge_load_[dir_slot] == 0) {
-    if (lanes_.empty())
-      touched_edges_.push_back(edge);
-    else
-      lanes_[static_cast<size_t>(lane)].touched.push_back(edge);
-  }
+  // A directed slot has a single sender, so lanes update its load without
+  // synchronization. Serial runs list the edge on its first message; an
+  // edge used in both directions is listed once per direction, and
+  // flush_edge_loads folds the duplicate idempotently. Parallel runs need
+  // no list: the receiver's shard folds the slot from the staged message.
+  if (lanes_.empty() && edge_load_[dir_slot] == 0)
+    touched_edges_.push_back(edge);
   // A w-word message occupies ceil(w / kMaxWords) standard-message slots of
   // the per-round edge budget (1 for every standard message, so the strict
   // check and max_edge_load are unchanged for non-batched programs).
@@ -250,7 +250,7 @@ void Scheduler::enqueue_resolved(int lane, VertexId from, VertexId to,
     }
     ++recv_count_[to_index];
     if (stage_.size() == stage_.capacity()) ++stats_.inbox_reallocs;
-    stage_.push_back({to, {from, edge, msg}});
+    stage_.push_back({to, dir_slot, {from, edge, msg}});
     ++in_flight_;
     ++stats_.messages;
     stats_.words += static_cast<std::uint64_t>(total);
@@ -261,7 +261,7 @@ void Scheduler::enqueue_resolved(int lane, VertexId from, VertexId to,
     Lane& l = lanes_[static_cast<size_t>(lane)];
     std::vector<Pending>& bucket = l.out[shard_of_[to_index]];
     if (bucket.size() == bucket.capacity()) ++l.reallocs;
-    bucket.push_back({to, {from, edge, msg}});
+    bucket.push_back({to, dir_slot, {from, edge, msg}});
     ++l.messages;
     l.words_sent += static_cast<std::uint64_t>(total);
   }
@@ -569,8 +569,9 @@ CostStats Scheduler::run() {
       break;
     }
 
-    // Fold the previous round's congestion window into the stats.
-    flush_edge_loads();
+    // Fold the previous round's congestion window into the stats (parallel
+    // rounds fold it inside delivery).
+    if (!parallel) flush_edge_loads();
 
     if (fault_) apply_crash_events(round);
     wake_this_round_ = false;
@@ -622,10 +623,13 @@ CostStats Scheduler::run() {
         (!transport_ || !transport_->pending()))
       break;
   }
-  // Account the final round's congestion window (no-op unless a program
-  // sent without raising in_flight past the quiescence check — kept for
-  // symmetry and future relaxed modes).
-  flush_edge_loads();
+  // Account the final round's congestion window: the sends of the last
+  // round of a max_rounds-capped run were never delivered (a run that ends
+  // quiescent has none in flight).
+  if (parallel)
+    merge_shard_windows();
+  else
+    flush_edge_loads();
   if (!channel_totals_.empty()) stats_.per_channel = channel_totals_;
   return stats_;
 }
@@ -675,21 +679,33 @@ void Scheduler::run_round_parallel(int round) {
                      deliver_total * 4 >= static_cast<std::uint64_t>(n);
   if (dense) ++stats_.rounds_receiver_scan;
 
-  // --- phase 1: per-shard inbox assembly ---
-  stats_.barrier_wait_ns +=
-      pool_->run([&](int shard) { deliver_shard(shard, round, dense); });
-  if (fault_) {
-    for (ShardScratch& shard : shards_) {
-      stats_.dropped += shard.dropped;
-      shard.dropped = 0;
-    }
-  }
-
+  // Idle riders are marked before the delivery job, whose frontier scan
+  // consumes them.
   if (!options_.full_sweep)
     for (VertexId v : idle_riders_) frontier_.set(v);
 
-  // --- phase 2: frontier scan into the invocation order ---
-  build_active_parallel(round);
+  // --- hand-off 1: per-shard inbox assembly, window fold, frontier scan ---
+  stats_.barrier_wait_ns +=
+      pool_->run([&](int shard) { deliver_shard(shard, round, dense); });
+
+  // --- serial point: the invocation order. The shard scans concatenated in
+  // shard order are the global ascending order ---
+  for (ShardScratch& shard : shards_) {
+    stats_.dropped += shard.dropped;
+    shard.dropped = 0;
+  }
+  active_.start_window();
+  if (options_.full_sweep || round == 0) {
+    for (VertexId v = 0; v < n; ++v)
+      if (!fault_ || !node_down_[static_cast<size_t>(v)]) active_.push(v);
+  } else {
+    for (const ShardScratch& shard : shards_) {
+      if (shard.active.empty()) continue;
+      VertexId* dst = active_.claim(shard.active.size());
+      std::memcpy(dst, shard.active.data(),
+                  shard.active.size() * sizeof(VertexId));
+    }
+  }
   if (round > 0 && active_.size() == 0 && fault_)
     ++stats_.rounds_lost;
 
@@ -701,7 +717,7 @@ void Scheduler::run_round_parallel(int round) {
     chunk_bounds_[static_cast<size_t>(l)] =
         active_count * static_cast<size_t>(l) / static_cast<size_t>(t);
 
-  // --- phase 3: invocation ---
+  // --- hand-off 2: invocation ---
   stats_.barrier_wait_ns +=
       pool_->run([&](int lane) { invoke_chunk(lane, round); });
 
@@ -724,29 +740,57 @@ void Scheduler::run_round_parallel(int round) {
       wake_this_round_ = true;
       lane.wake_any = 0;
     }
-    touched_edges_.insert(touched_edges_.end(), lane.touched.begin(),
-                          lane.touched.end());
-    lane.touched.clear();
   }
   in_flight_ += staged;
   ++stats_.rounds_parallel;
 }
 
+void Scheduler::fold_window(ShardScratch& shard, const Pending& p) {
+  std::uint32_t& load = edge_load_[p.slot];
+  if (load != 0) {
+    shard.max_edge_load = std::max<std::uint64_t>(shard.max_edge_load, load);
+    load = 0;
+  }
+  // Channel windows are checked on their own: two messages on one slot may
+  // ride different channels, and the first fold clears only its own.
+  if (edge_load_ch_.empty()) return;
+  const std::uint8_t ch = p.delivery.msg.channel;
+  std::uint32_t& ch_load =
+      edge_load_ch_[static_cast<size_t>(ch) * edge_load_.size() + p.slot];
+  if (ch_load != 0) {
+    std::uint64_t& max = shard.channel_max_load[ch];
+    max = std::max<std::uint64_t>(max, ch_load);
+    ch_load = 0;
+  }
+}
+
+void Scheduler::merge_shard_windows() {
+  for (Lane& lane : lanes_)
+    for (size_t s = 0; s < shards_.size(); ++s)
+      for (const Pending& p : lane.out[s]) fold_window(shards_[s], p);
+  for (const ShardScratch& shard : shards_) {
+    stats_.max_edge_load = std::max(stats_.max_edge_load, shard.max_edge_load);
+    for (size_t ch = 0; ch < shard.channel_max_load.size(); ++ch)
+      channel_totals_[ch].max_edge_load = std::max(
+          channel_totals_[ch].max_edge_load, shard.channel_max_load[ch]);
+  }
+}
+
 void Scheduler::fault_filter_bucket(ShardScratch& shard,
                                     std::vector<Pending>& bucket, int round) {
-  const WeightedGraph& g = network_->graph();
   size_t w = 0;
   for (const Pending& p : bucket) {
     const EdgeId e = p.delivery.edge;
-    const int dir = p.delivery.from == g.edge(e).u ? 0 : 1;
-    const size_t slot = static_cast<size_t>(e) * 2 + static_cast<size_t>(dir);
-    if (fault_seq_[slot] == 0)
-      shard.fault_touched.push_back(static_cast<std::uint32_t>(slot));
-    const std::uint32_t msg_index = fault_seq_[slot]++;
+    const int dir = static_cast<int>(p.slot & 1);
+    if (fault_seq_[p.slot] == 0) shard.fault_touched.push_back(p.slot);
+    const std::uint32_t msg_index = fault_seq_[p.slot]++;
     const bool lost = node_down_[static_cast<size_t>(p.to)] ||
                       fault_->link_down(round, e) ||
                       fault_->drop_message(round, e, dir, msg_index);
     if (lost) {
+      // A dropped message was still sent: its window is folded here, the
+      // delivered ones' at the scatter.
+      fold_window(shard, p);
       ++shard.dropped;
       continue;
     }
@@ -814,11 +858,13 @@ void Scheduler::deliver_shard(int shard_index, int round, bool dense) {
     }
   }
 
-  // 4. Counting-sort scatter, stable per recipient (lane order again).
+  // 4. Counting-sort scatter, stable per recipient (lane order again), with
+  // the congestion window of each delivered message folded on the way.
   for (Lane& lane : lanes_) {
     for (const Pending& p : lane.dout[static_cast<size_t>(shard_index)]) {
       const size_t ti = static_cast<size_t>(p.to);
       arena_[inbox_start_[ti] + recv_count_[ti]++] = p.delivery;
+      fold_window(shard, p);
     }
   }
   for (VertexId v : shard.mail) recv_count_[static_cast<size_t>(v)] = 0;
@@ -828,44 +874,33 @@ void Scheduler::deliver_shard(int shard_index, int round, bool dense) {
     for (VertexId v : shard.mail) shuffle_inbox(round, v);
 
   for (Lane& lane : lanes_) lane.dout[static_cast<size_t>(shard_index)].clear();
+
+  // 6. The shard's slice of this round's invocation order (the full range
+  // under full_sweep and in round 0, which the serial point lists itself).
+  if (!options_.full_sweep && round != 0) scan_shard_frontier(shard);
 }
 
-void Scheduler::build_active_parallel(int round) {
-  active_.start_window();
-  const VertexId n = num_nodes_;
-  if (options_.full_sweep || round == 0) {
-    for (VertexId v = 0; v < n; ++v)
-      if (!fault_ || !node_down_[static_cast<size_t>(v)]) active_.push(v);
-    return;
-  }
-  // Each worker scans its own shard's span of the bitmap (the 64-aligned
-  // boundaries make the word ranges disjoint) into shard-local order...
-  stats_.barrier_wait_ns += pool_->run([&](int shard_index) {
-    ShardScratch& shard = shards_[static_cast<size_t>(shard_index)];
-    shard.active.clear();
-    const size_t word_begin = static_cast<size_t>(shard.begin) >> 6;
-    const size_t word_end = (static_cast<size_t>(shard.end) + 63) >> 6;
-    for (size_t i = word_begin; i < word_end; ++i) {
-      std::uint64_t bits = frontier_.word(i);
-      if (bits == 0) continue;
-      frontier_.clear_word(i);
-      do {
-        const int b = std::countr_zero(bits);
-        bits &= bits - 1;
-        const VertexId v =
-            static_cast<VertexId>((i << 6) + static_cast<size_t>(b));
-        if (!fault_ || !node_down_[static_cast<size_t>(v)])
-          shard.active.push_back(v);
-      } while (bits != 0);
-    }
-  });
-  // ...and the serial concat in shard order restores the global ascending
-  // invocation order.
-  for (ShardScratch& shard : shards_) {
-    if (shard.active.empty()) continue;
-    VertexId* dst = active_.claim(shard.active.size());
-    std::memcpy(dst, shard.active.data(),
-                shard.active.size() * sizeof(VertexId));
+void Scheduler::scan_shard_frontier(ShardScratch& shard) {
+  shard.active.clear();
+  // The shard's bitmap words (disjoint from every other shard's, by the
+  // 64-aligned boundaries) were written only by this delivery, by the
+  // previous round's invocation and serially before the job, all ordered
+  // before this point by the pool's hand-offs. The ascending scan is the
+  // shard's slice of the invocation order.
+  const size_t word_begin = static_cast<size_t>(shard.begin) >> 6;
+  const size_t word_end = (static_cast<size_t>(shard.end) + 63) >> 6;
+  for (size_t i = word_begin; i < word_end; ++i) {
+    std::uint64_t bits = frontier_.word(i);
+    if (bits == 0) continue;
+    frontier_.clear_word(i);
+    do {
+      const int b = std::countr_zero(bits);
+      bits &= bits - 1;
+      const VertexId v =
+          static_cast<VertexId>((i << 6) + static_cast<size_t>(b));
+      if (!fault_ || !node_down_[static_cast<size_t>(v)])
+        shard.active.push_back(v);
+    } while (bits != 0);
   }
 }
 

@@ -35,7 +35,10 @@
 //    shard whose inboxes they assemble by draining the lanes' buckets in
 //    lane order — a stable merge that reproduces the serial send
 //    interleaving exactly, so artifacts, ledgers and stats are bit-identical
-//    to threads=1. With threads=1 none of this machinery is touched.
+//    to threads=1. The same delivery job folds the shard's congestion
+//    window and scans its frontier words, so a round makes two pool
+//    hand-offs (deliver, invoke). With threads=1 none of this machinery is
+//    touched.
 //
 // Congestion: the scheduler counts messages per (edge, direction) per round.
 // In strict mode, more than one message on a directed edge in a round —
@@ -154,11 +157,16 @@ class NodeContext {
   Scheduler* scheduler_ = nullptr;
 };
 
-// Staged outgoing message: recipient plus the Delivery it will see.
+// Staged outgoing message: recipient plus the Delivery it will see. `slot`
+// is the directed slot (2*edge + direction) the message was charged to; it
+// rides in what would otherwise be alignment padding before `delivery`.
 struct Pending {
   VertexId to;
+  std::uint32_t slot;
   Delivery delivery;
 };
+static_assert(sizeof(Pending) == 8 + sizeof(Delivery),
+              "the slot must fit the padding before the delivery");
 
 // Cross-run arena pool. A Scheduler's flat message buffers (stage, arena,
 // inbox index, edge loads, ...) reach steady-state capacity within a run;
@@ -282,7 +290,6 @@ class Scheduler {
     std::uint64_t words_sent = 0;
     std::uint64_t reallocs = 0;
     std::uint8_t wake_any = 0;
-    std::vector<EdgeId> touched;              // edge-load slots this lane hit
     // Lane-local per-channel message/word counters (channels > 1 only),
     // folded with the scalar counters at the barrier.
     std::vector<ChannelCost> channels;
@@ -296,6 +303,11 @@ class Scheduler {
     std::vector<VertexId> active;   // frontier-scan output for the shard
     std::vector<std::uint32_t> fault_touched;  // dir slots to reset
     std::uint64_t dropped = 0;
+    // Running maxima of the congestion windows folded while draining (the
+    // untagged one, and per channel when channels > 1); merged into the
+    // stats once the run ends.
+    std::uint64_t max_edge_load = 0;
+    std::vector<std::uint64_t> channel_max_load;
   };
 
   void enqueue_resolved(int lane, VertexId from, VertexId to, EdgeId edge,
@@ -316,8 +328,9 @@ class Scheduler {
                        std::span<const Incidence> links, std::uint32_t tag,
                        std::uint8_t channel,
                        std::span<const std::uint64_t> words);
-  // Folds the per-edge loads of the last send window into max_edge_load and
-  // resets them (single owner of the touched_edges_ bookkeeping).
+  // Serial runs: folds the per-edge loads of the last send window into
+  // max_edge_load and resets them (single owner of the touched_edges_
+  // bookkeeping). Parallel runs fold in delivery (fold_window).
   void flush_edge_loads();
   // Serial delivery: counting-sort scatter of stage_ into the arena; fills
   // inbox_start_/inbox_len_ for this round's recipients (current_mail_).
@@ -345,8 +358,17 @@ class Scheduler {
 
   // --- parallel round phases (threads > 1) ---
   void run_round_parallel(int round);
+  // The delivery job of one recipient shard: inbox assembly, the window
+  // fold, then the shard's frontier scan into shard.active.
   void deliver_shard(int shard, int round, bool dense);
-  void build_active_parallel(int round);
+  void scan_shard_frontier(ShardScratch& shard);
+  // Reads, clears and keeps the max of the congestion windows (untagged
+  // and channel) of p's directed slot. Only the slot's receiver shard
+  // calls this, so each slot has one writer per delivery.
+  void fold_window(ShardScratch& shard, const Pending& p);
+  // End of a parallel run: folds the windows of messages still staged (the
+  // last round of a max_rounds-capped run) and merges the shard maxima.
+  void merge_shard_windows();
   void invoke_chunk(int lane, int round);
   // Compacts one lane bucket under the fault plan; the shard owner calls
   // this for each lane in lane order so per-slot message indices match the
@@ -391,20 +413,21 @@ class Scheduler {
   std::uint64_t in_flight_ = 0;
   CostStats stats_;
   // Per-round congestion tracking: messages sent on each directed edge.
-  // A directed slot is only ever written by its single sender, so lanes
-  // update it without synchronization; dedup into touched lists is
-  // per-slot (an edge used in both directions is listed once per
-  // direction, which flush_edge_loads folds idempotently).
+  // A directed slot has a single sender, so lanes add to it without
+  // synchronization during invocation, and a single receiver, whose shard
+  // owner reads and clears it during the next delivery (fold_window).
+  // Serial runs instead list the touched edges and fold them at the top of
+  // the next round (flush_edge_loads).
   std::vector<std::uint32_t> edge_load_;  // indexed by 2*edge + direction
-  std::vector<EdgeId> touched_edges_;
+  std::vector<EdgeId> touched_edges_;     // serial runs only
 
   // --- per-channel accounting (allocated only when options_.channels > 1;
   //     a single-channel run never touches any of this) ---
   std::vector<ChannelCost> channel_totals_;  // running message/word counts
   // Channel-strided congestion windows, indexed channel * (2E) + dir_slot.
-  // Like edge_load_, each directed slot has a single sender per round, so
-  // lanes write without synchronization; flush_edge_loads folds the touched
-  // slots of every channel alongside the untagged window.
+  // Like edge_load_, each directed slot has a single sender and a single
+  // receiver per round, and the windows are folded alongside the untagged
+  // one.
   std::vector<std::uint32_t> edge_load_ch_;
 
   // --- parallel execution (allocated only when options_.threads > 1) ---

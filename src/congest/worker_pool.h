@@ -3,13 +3,25 @@
 // One pool lives for the whole execution: workers are spawned once and then
 // re-dispatched every phase of every round, so the steady-state cost of a
 // phase is two synchronizations (release the workers, join them at the
-// barrier), not thread creation. Dispatch is epoch-based: run() publishes a
+// barrier), not thread creation. A parallel round makes two such hand-offs
+// (delivery, then invocation). Dispatch is epoch-based: run() publishes a
 // job and bumps the epoch; workers run job(worker_id) exactly once per
-// epoch and count themselves out. Waiters spin briefly before blocking on a
-// condition variable — on saturated hardware the spin window catches the
-// common case, while oversubscribed hosts (CI runners, the single-core
-// container) fall through to a proper sleep instead of burning the core the
-// sibling workers need.
+// epoch and count themselves out.
+//
+// Waiting, for the next epoch or for stragglers at the barrier, goes in
+// three steps. A waiter spins with a CPU pause hint for a few thousand
+// iterations, then yields its core until about 200 µs have passed since
+// the wait began, and only then blocks on a condition variable. The budget
+// covers the gap between two hand-offs of a round, so in steady state a
+// hand-off pays no futex wake-up. Spinning only pays with a CPU per
+// thread, so each worker starts by moving itself to its own CPU of the
+// process's affinity mask and then restores the mask (the kernel may
+// otherwise keep a fresh process's threads on their creator's CPU for
+// hundreds of milliseconds). A pool with more threads than the CPUs the
+// process may run on (its affinity mask, as nproc counts them) does
+// neither: it spins briefly with plain loads and then blocks, so
+// oversubscribed hosts (CI runners, single-core containers) hand the core
+// to the sibling workers that need it.
 //
 // Exceptions thrown by a job (LN_ASSERT violations, strict-congest aborts)
 // are captured per phase and rethrown on the calling thread after the
@@ -50,6 +62,9 @@ class WorkerPool {
   void worker_loop(int id);
 
   const int threads_;
+  // More threads than usable CPUs: no start placement, and waiters skip
+  // the pause and yield steps.
+  const bool oversubscribed_;
   std::vector<std::thread> workers_;
 
   std::mutex mutex_;

@@ -38,6 +38,26 @@ void expect_same_model_cost(const CostStats& a, const CostStats& b,
   EXPECT_EQ(a.messages, b.messages) << context;
   EXPECT_EQ(a.words, b.words) << context;
   EXPECT_EQ(a.max_edge_load, b.max_edge_load) << context;
+  ASSERT_EQ(a.per_channel.size(), b.per_channel.size()) << context;
+  for (size_t ch = 0; ch < a.per_channel.size(); ++ch) {
+    const std::string where = context + " channel " + std::to_string(ch);
+    EXPECT_EQ(a.per_channel[ch].messages, b.per_channel[ch].messages) << where;
+    EXPECT_EQ(a.per_channel[ch].words, b.per_channel[ch].words) << where;
+    EXPECT_EQ(a.per_channel[ch].max_edge_load, b.per_channel[ch].max_edge_load)
+        << where;
+  }
+}
+
+// Runs one `Program` per vertex of `g` under `options` and returns the cost.
+template <typename Program>
+CostStats run_programs(const WeightedGraph& g,
+                       const SchedulerOptions& options) {
+  Network net(g);
+  std::vector<std::unique_ptr<NodeProgram>> programs;
+  for (VertexId v = 0; v < g.num_vertices(); ++v)
+    programs.push_back(std::make_unique<Program>(v));
+  Scheduler sched(net, std::move(programs), options);
+  return sched.run();
 }
 
 // Shard-merge ordering: the per-lane buckets are drained in lane order and
@@ -240,6 +260,87 @@ TEST(ParallelScheduler, IdleRidersTickEveryRoundUnderThreads) {
     const auto [par_ticks, par_rounds] = run(threads);
     EXPECT_EQ(par_rounds, serial_rounds) << threads;
     EXPECT_EQ(par_ticks, serial_ticks) << threads;
+  }
+}
+
+// Never quiescent, and round r puts r + 1 messages on the first link: the
+// heaviest window is the last round's, whose sends a max_rounds cap leaves
+// undelivered, so only the end-of-run fold can account for it.
+class RampProgram final : public NodeProgram {
+ public:
+  explicit RampProgram(VertexId) {}
+  void on_round(NodeContext& ctx, std::span<const Delivery>) override {
+    if (ctx.links().empty()) return;
+    for (int i = 0; i <= ctx.round(); ++i)
+      ctx.send_on_link(0, Message(1, {static_cast<std::uint64_t>(i)}));
+  }
+  bool quiescent() const override { return false; }
+};
+
+TEST(ParallelScheduler, CappedRunFoldsItsLastWindow) {
+  const WeightedGraph g = grid(12, 12, /*perturb=*/true, 8);
+  SchedulerOptions relaxed;
+  relaxed.strict_congest = false;
+  relaxed.max_rounds = 7;
+  const CostStats serial = run_programs<RampProgram>(g, relaxed);
+  EXPECT_EQ(serial.max_edge_load, 7u);
+  EXPECT_EQ(serial.rounds_capped, 1u);
+  for (int threads : {2, 4, 8}) {
+    SchedulerOptions options = relaxed;
+    options.threads = threads;
+    const CostStats par = run_programs<RampProgram>(g, options);
+    const std::string context = "threads=" + std::to_string(threads);
+    expect_same_model_cost(serial, par, context);
+    EXPECT_EQ(par.rounds_capped, 1u) << context;
+  }
+}
+
+// Three channels over four rounds. Some links carry two messages on
+// different channels in one round (each channel window must be folded on
+// its own), some carry two on the same channel (channel load 2), and
+// channel 2 sends 5-word batches (2 units each).
+constexpr int kChannels = 3;
+
+class ChannelMixProgram final : public NodeProgram {
+ public:
+  explicit ChannelMixProgram(VertexId self) : self_(self) {}
+  void on_round(NodeContext& ctx, std::span<const Delivery>) override {
+    round_ = ctx.round();
+    if (round_ >= 4) return;
+    for (int i = 0; i < static_cast<int>(ctx.links().size()); ++i) {
+      const int mix = static_cast<int>(self_) + i;
+      send(ctx, i, (mix + round_) % kChannels);
+      if (mix % 2 == 0) send(ctx, i, (mix + round_ + 1) % kChannels);
+      if (mix % 5 == 0) send(ctx, i, (mix + round_) % kChannels);
+    }
+  }
+  bool quiescent() const override { return round_ >= 4; }
+
+ private:
+  static void send(NodeContext& ctx, int link, int channel) {
+    const std::vector<std::uint64_t> words(channel == 2 ? 5 : 1, 7);
+    ctx.send_words_on_link(link, 2, words,
+                           static_cast<std::uint8_t>(channel));
+  }
+
+  VertexId self_;
+  int round_ = -1;
+};
+
+TEST(ParallelScheduler, PerChannelCostsMatchAcrossThreadCounts) {
+  const WeightedGraph g =
+      erdos_renyi(96, 0.08, WeightLaw::kUniform, 10.0, 31);
+  SchedulerOptions relaxed;
+  relaxed.strict_congest = false;
+  relaxed.channels = kChannels;
+  const CostStats serial = run_programs<ChannelMixProgram>(g, relaxed);
+  ASSERT_EQ(serial.per_channel.size(), static_cast<size_t>(kChannels));
+  EXPECT_EQ(serial.per_channel[2].max_edge_load, 4u);
+  for (int threads : {2, 4, 8}) {
+    SchedulerOptions options = relaxed;
+    options.threads = threads;
+    expect_same_model_cost(serial, run_programs<ChannelMixProgram>(g, options),
+                           "threads=" + std::to_string(threads));
   }
 }
 
