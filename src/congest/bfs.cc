@@ -108,17 +108,6 @@ template <typename Program>
 BfsTreeResult run_bfs(const WeightedGraph& g, VertexId root,
                       SchedulerOptions sched_options) {
   LN_REQUIRE(root >= 0 && root < g.num_vertices(), "root out of range");
-  // Callers that don't donate a cross-run arena pool get a thread-local one.
-  // BFS trees are built in bulk (per scale, per benchmark iteration), and
-  // without a pool every run's serial buffers round-trip through the
-  // allocator — glibc returns the pages to the OS between runs and the next
-  // run faults them all back in. The scheduler clears adopted buffers, so
-  // results are bit-identical; `in_use` makes nested runs fall back to
-  // private buffers.
-  if (sched_options.scratch == nullptr) {
-    static thread_local SchedulerScratch pool;
-    sched_options.scratch = &pool;
-  }
   BfsTreeResult result;
   result.root = root;
   result.parent.assign(static_cast<size_t>(g.num_vertices()), kNoVertex);

@@ -148,8 +148,13 @@ Scheduler::Scheduler(const Network& network,
 Scheduler::~Scheduler() { return_scratch(); }
 
 void Scheduler::adopt_scratch() {
-  SchedulerScratch* s = options_.scratch;
-  if (s == nullptr || s->in_use) return;  // nested kernel: private buffers
+  // Runs without a donated pool share one per thread, so back-to-back runs
+  // (the doubling pipeline's many explorations, BFS trees built in bulk)
+  // reuse grown buffers instead of re-growing them from empty.
+  static thread_local SchedulerScratch thread_pool;
+  SchedulerScratch* s =
+      options_.scratch != nullptr ? options_.scratch : &thread_pool;
+  if (s->in_use) return;  // nested kernel: private buffers
   s->in_use = true;
   ++s->adoptions;
   scratch_ = s;

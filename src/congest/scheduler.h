@@ -169,18 +169,19 @@ static_assert(sizeof(Pending) == 8 + sizeof(Delivery),
               "the slot must fit the padding before the delivery");
 
 // Cross-run arena pool. A Scheduler's flat message buffers (stage, arena,
-// inbox index, edge loads, ...) reach steady-state capacity within a run;
-// a long-lived driver that executes many runs back-to-back (the lightnetd
-// service, batch sweeps) donates one SchedulerScratch via
-// SchedulerOptions::scratch, and every Scheduler adopts the donated
-// capacity at construction and returns it — grown — at destruction, so
-// repeat runs skip the warm-up allocations entirely. Contents are opaque
-// capacity: the scheduler clears every adopted vector before use, so
-// execution is bit-identical with or without a scratch. `in_use` guards
-// nesting (a kernel started from inside another kernel's run builds
-// private buffers instead); `adoptions` feeds the service's stats surface.
-// Serial buffers only — the threads>1 lane/shard state is per-pool-size
-// and stays privately owned.
+// inbox index, edge loads, ...) reach steady-state capacity within a run.
+// Every Scheduler adopts a pool's capacity at construction and returns it —
+// grown — at destruction, so back-to-back runs skip the warm-up
+// allocations. The pool is the one donated via SchedulerOptions::scratch (a
+// long-lived server such as lightnetd owns one and reports its
+// `adoptions`), or else the calling thread's own thread_local pool, shared
+// by every run on that thread (so a Scheduler is destroyed on the thread
+// that constructed it). Contents are opaque capacity: the scheduler
+// clears every adopted vector before use, so execution is bit-identical
+// with or without a pool. `in_use` guards nesting: a kernel started from
+// inside another kernel's run on the same pool builds private buffers
+// instead. Serial buffers only — the threads>1 lane/shard state is
+// per-pool-size and stays privately owned.
 struct SchedulerScratch {
   std::vector<Pending> stage;
   std::vector<Pending> deliver_buf;
@@ -241,8 +242,8 @@ struct SchedulerOptions {
   // is tested against, the same pattern legacy_unbatched serves for the
   // batched encoding.
   bool sequential_scales = false;
-  // Optional cross-run arena pool (see SchedulerScratch above). Null means
-  // every Scheduler owns its buffers privately — the one-shot default.
+  // Optional donated arena pool (see SchedulerScratch above). Null means the
+  // Scheduler adopts its thread's own pool.
   SchedulerScratch* scratch = nullptr;
 };
 
@@ -458,7 +459,7 @@ class Scheduler {
 
   // --- cross-run arena pool (see SchedulerScratch) ---
   SchedulerScratch* scratch_ = nullptr;  // non-null only while adopted
-  void adopt_scratch();   // ctor: take the donated capacity, cleared
+  void adopt_scratch();   // ctor: take a pool's capacity, cleared
   void return_scratch();  // dtor: hand the grown buffers back
 };
 

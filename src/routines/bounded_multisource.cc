@@ -1,6 +1,7 @@
 #include "routines/bounded_multisource.h"
 
 #include <algorithm>
+#include <bit>
 #include <memory>
 #include <utility>
 
@@ -19,7 +20,15 @@ using congest::NodeProgram;
 constexpr std::uint32_t kTagBounded = 40;       // legacy: one (source, dist)
 constexpr std::uint32_t kTagBoundedBatch = 41;  // batched (source, dist) pairs
 
+// Records hold hopset edge indices in a 31-bit signed field.
+constexpr size_t kMaxHopsetEdges = size_t{1} << 30;
+
 using SourceTable = std::vector<BoundedSourceEntry>;
+
+constexpr auto kBySource = [](const BoundedSourceEntry& a,
+                              const BoundedSourceEntry& b) {
+  return a.source < b.source;
+};
 
 SourceTable::iterator table_find(SourceTable& table, VertexId source) {
   return std::lower_bound(table.begin(), table.end(), source,
@@ -28,119 +37,162 @@ SourceTable::iterator table_find(SourceTable& table, VertexId source) {
                           });
 }
 
-// Relaxation over a G-edge with canonical parent records: strict distance
-// improvements replace the record (and report true so the caller can queue
-// a re-announcement), equal-distance offers only canonicalize the parent.
-// The canonical order is total: a G-edge parent always beats a hopset
-// parent at equal distance, and among G-edge parents the smallest
-// (parent, edge) pair wins (hopset records canonicalize among themselves in
-// the Bellman-Ford loop below). The final table is therefore the pointwise
-// minimum over all offers — independent of arrival order, hence
-// bit-identical across the batched/legacy encodings, scheduler modes, and
-// the per-scale/wave-fused groupings of the doubling pipeline.
-// `hint` is a table index the search starts from (and is advanced to the
-// record's position): callers relaxing a source-ascending batch pass one
-// cursor across the whole batch, shrinking each lookup's range.
-bool relax_edge(SourceTable& table, size_t& hint, VertexId source,
-                Weight cand, VertexId from, EdgeId edge) {
-  auto it = std::lower_bound(
-      table.begin() + static_cast<std::ptrdiff_t>(hint), table.end(), source,
-      [](const BoundedSourceEntry& e, VertexId s) { return e.source < s; });
-  hint = static_cast<size_t>(it - table.begin());
-  if (it == table.end() || it->source != source) {
-    BoundedSourceEntry e;
-    e.source = source;
-    e.dist = cand;
-    e.parent = from;
-    e.parent_edge = edge;
-    table.insert(it, e);
-    return true;
+// The canonical rule for an offer of `cand` over G-edge `edge` from `from`
+// against an existing record: a strict distance improvement replaces the
+// record and returns true (the caller queues a re-announcement), an
+// equal-distance offer only canonicalizes the parent. The canonical order
+// is total: a G-edge parent always beats a hopset parent at equal
+// distance, and among G-edge parents the smallest (parent, edge) pair wins
+// (hopset records canonicalize among themselves in the Bellman-Ford loop
+// below). The final table is therefore the pointwise minimum over all
+// offers — independent of arrival order, hence bit-identical across the
+// batched/legacy encodings, scheduler modes, and the per-scale/wave-fused
+// groupings of the doubling pipeline.
+bool offer_g_edge(BoundedSourceEntry& rec, Weight cand, VertexId from,
+                  EdgeId edge) {
+  const bool improved = cand < rec.dist;
+  if (improved ||
+      (cand == rec.dist &&
+       (rec.hopset_edge >= 0 || from < rec.parent ||
+        (from == rec.parent && edge < rec.parent_edge)))) {
+    rec.dist = cand;
+    rec.parent = from;
+    rec.parent_edge = edge;
+    rec.hopset_edge = -1;
+    rec.hopset_forward = true;
   }
-  if (cand < it->dist) {
-    it->dist = cand;
-    it->parent = from;
-    it->parent_edge = edge;
-    it->hopset_edge = -1;
-    it->hopset_forward = true;
-    return true;
-  }
-  if (cand == it->dist &&
-      (it->hopset_edge >= 0 || from < it->parent ||
-       (from == it->parent && edge < it->parent_edge))) {
-    it->parent = from;
-    it->parent_edge = edge;
-    it->hopset_edge = -1;
-    it->hopset_forward = true;
-  }
-  return false;
+  return improved;
 }
 
-// Processes one delivered batch (source-ascending offers over one G-edge)
-// against `table`: offers for existing records relax in place, offers for
-// brand-new sources are deferred into `fresh` and folded in with ONE
-// backwards merge after the batch — O(table + batch) instead of one
-// O(table) memmove per insertion, which is what dominated wall clock when
-// saturated scales insert hundreds of records per vertex. Deferring is
-// sound because sources within one batch are distinct: no later offer in
-// the same batch can target a deferred record. Calls `improved(source)`
-// for every record whose distance changed (insert or strict improvement).
+BoundedSourceEntry g_edge_record(VertexId source, Weight dist, VertexId from,
+                                 EdgeId edge) {
+  BoundedSourceEntry e;
+  e.dist = dist;
+  e.source = source;
+  e.parent = from;
+  e.parent_edge = edge;
+  return e;
+}
+
+// Relaxation into a source-sorted table (the hopset Bellman-Ford loop):
+// inserts keep the order, existing records follow offer_g_edge.
+bool relax_edge(SourceTable& table, VertexId source, Weight cand,
+                VertexId from, EdgeId edge) {
+  const auto it = table_find(table, source);
+  if (it == table.end() || it->source != source) {
+    table.insert(it, g_edge_record(source, cand, from, edge));
+    return true;
+  }
+  return offer_g_edge(*it, cand, from, edge);
+}
+
+// Open-addressing index from source id to a record's position in one
+// vertex's table, alive for one scheduler run. Tables are append-only while
+// a run lasts, so positions stay valid. Linear probing over a power-of-two
+// slot array kept at most half full makes every lookup O(1) expected.
+class SourceIndex {
+ public:
+  bool empty() const { return slots_.empty(); }
+
+  // Drops every key and sizes the slots for `records` keys.
+  void reset(size_t records) {
+    size_t capacity = 16;
+    while (capacity < 2 * records) capacity *= 2;
+    slots_.assign(capacity, Slot{});
+    shift_ = 64 - std::countr_zero(capacity);
+    size_ = 0;
+  }
+
+  // Indexes every record of `table` at its position.
+  void add(const SourceTable& table) {
+    for (size_t i = 0; i < table.size(); ++i)
+      find_or_insert(table[i].source, static_cast<std::uint32_t>(i));
+  }
+
+  // Position of `source`, which must be indexed.
+  std::uint32_t at(VertexId source) const {
+    size_t i = home(source);
+    while (slots_[i].source != source) {
+      LN_ASSERT(slots_[i].source != kNoVertex);
+      i = next(i);
+    }
+    return slots_[i].pos;
+  }
+
+  // {position of `source`, false}, or {pos, true} after indexing an
+  // absent source at `pos`.
+  std::pair<std::uint32_t, bool> find_or_insert(VertexId source,
+                                                std::uint32_t pos) {
+    size_t i = home(source);
+    for (; slots_[i].source != kNoVertex; i = next(i))
+      if (slots_[i].source == source) return {slots_[i].pos, false};
+    slots_[i] = {source, pos};
+    if (2 * ++size_ > slots_.size()) grow();
+    return {pos, true};
+  }
+
+ private:
+  struct Slot {
+    VertexId source = kNoVertex;
+    std::uint32_t pos = 0;
+  };
+
+  size_t home(VertexId source) const {  // Fibonacci hashing
+    return static_cast<size_t>(
+        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(source)) *
+         0x9E3779B97F4A7C15ull) >>
+        shift_);
+  }
+  size_t next(size_t i) const { return (i + 1) & (slots_.size() - 1); }
+
+  void grow() {
+    std::vector<Slot> old(slots_.size() * 2);
+    old.swap(slots_);
+    --shift_;
+    for (const Slot& s : old) {
+      if (s.source == kNoVertex) continue;
+      size_t i = home(s.source);
+      while (slots_[i].source != kNoVertex) i = next(i);
+      slots_[i] = s;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  int shift_ = 64;
+  size_t size_ = 0;
+};
+
+// Applies one delivered payload of (source, dist) offers over a G-edge of
+// weight `w` to `table`: known sources relax in place through the index,
+// new ones are appended. Calls `improved(source)` for every record whose
+// distance changed (insert or strict improvement).
 template <typename Improved>
-void relax_batch(SourceTable& table, std::span<const std::uint64_t> words,
-                 Weight w, Weight radius, VertexId from, EdgeId edge,
-                 SourceTable& fresh, const Improved& improved) {
-  fresh.clear();
-  size_t hint = 0;
+void relax_offers(SourceTable& table, SourceIndex& index,
+                  std::span<const std::uint64_t> words, Weight w,
+                  Weight radius, VertexId from, EdgeId edge,
+                  const Improved& improved) {
   for (size_t i = 0; i + 1 < words.size(); i += 2) {
     const VertexId source = static_cast<VertexId>(words[i]);
     const Weight cand = Message::decode_weight(words[i + 1]) + w;
     if (cand > radius) continue;
-    auto it = std::lower_bound(
-        table.begin() + static_cast<std::ptrdiff_t>(hint), table.end(),
-        source,
-        [](const BoundedSourceEntry& e, VertexId s) { return e.source < s; });
-    hint = static_cast<size_t>(it - table.begin());
-    if (it == table.end() || it->source != source) {
-      BoundedSourceEntry e;
-      e.source = source;
-      e.dist = cand;
-      e.parent = from;
-      e.parent_edge = edge;
-      fresh.push_back(e);
+    const auto [pos, inserted] = index.find_or_insert(
+        source, static_cast<std::uint32_t>(table.size()));
+    if (inserted) {
+      table.push_back(g_edge_record(source, cand, from, edge));
       improved(source);
-      continue;
-    }
-    if (cand < it->dist) {
-      it->dist = cand;
-      it->parent = from;
-      it->parent_edge = edge;
-      it->hopset_edge = -1;
-      it->hopset_forward = true;
+    } else if (offer_g_edge(table[pos], cand, from, edge)) {
       improved(source);
-    } else if (cand == it->dist &&
-               (it->hopset_edge >= 0 || from < it->parent ||
-                (from == it->parent && edge < it->parent_edge))) {
-      it->parent = from;
-      it->parent_edge = edge;
-      it->hopset_edge = -1;
-      it->hopset_forward = true;
     }
   }
-  if (fresh.empty()) return;
-  // Backwards two-pointer merge: `fresh` ascends and is disjoint from the
-  // table's sources, so every element moves exactly once.
-  const size_t old_size = table.size();
-  table.resize(old_size + fresh.size());
-  std::ptrdiff_t i = static_cast<std::ptrdiff_t>(old_size) - 1;
-  std::ptrdiff_t j = static_cast<std::ptrdiff_t>(fresh.size()) - 1;
-  std::ptrdiff_t pos = static_cast<std::ptrdiff_t>(table.size()) - 1;
-  while (j >= 0) {
-    if (i >= 0 && table[static_cast<size_t>(i)].source >
-                      fresh[static_cast<size_t>(j)].source) {
-      table[static_cast<size_t>(pos--)] = table[static_cast<size_t>(i--)];
-    } else {
-      table[static_cast<size_t>(pos--)] = fresh[static_cast<size_t>(j--)];
-    }
-  }
+}
+
+// Restores a table's source order after a run: the records appended while
+// it lasted are sorted and merged into the prefix sorted at its start.
+void merge_appended(SourceTable& table, size_t sorted_len) {
+  const auto mid = table.begin() + static_cast<std::ptrdiff_t>(sorted_len);
+  if (mid == table.end()) return;
+  std::sort(mid, table.end(), kBySource);
+  std::inplace_merge(table.begin(), mid, table.end(), kBySource);
 }
 
 class BoundedProgram final : public NodeProgram {
@@ -157,18 +209,20 @@ class BoundedProgram final : public NodeProgram {
         batched_(batched),
         reliable_(reliable),
         state_(state),
+        sorted_len_(state[static_cast<size_t>(self)].size()),
         pending_(std::move(initial_pending)) {}
 
   void on_round(NodeContext& ctx, std::span<const Delivery> inbox) override {
     SourceTable& table = state_[static_cast<size_t>(self_)];
+    if (index_.empty()) {
+      index_.reset(table.size());
+      index_.add(table);
+    }
     for (const Delivery& d : inbox) {
       LN_ASSERT(d.msg.tag == kTagBounded || d.msg.tag == kTagBoundedBatch);
       const Weight w = ctx.network().graph().edge(d.edge).w;
-      // Offers in one batch ascend by source id (announcers pack their
-      // sorted pending list), so each delivery is a sorted merge against
-      // the sorted table.
-      relax_batch(table, ctx.payload(d.msg), w, radius_, d.from, d.edge,
-                  fresh_buf_, [this](VertexId s) { mark_pending(s); });
+      relax_offers(table, index_, ctx.payload(d.msg), w, radius_, d.from,
+                   d.edge, [this](VertexId s) { mark_pending(s); });
     }
     if (pending_.empty()) return;
     const int degree = static_cast<int>(ctx.links().size());
@@ -183,17 +237,11 @@ class BoundedProgram final : public NodeProgram {
       // pruned here instead of flooded — the ball's boundary shell stays
       // silent.
       words_buf_.clear();
-      size_t hint = 0;
       for (VertexId s : pending_) {
-        const auto it = std::lower_bound(
-            table.begin() + static_cast<std::ptrdiff_t>(hint), table.end(), s,
-            [](const BoundedSourceEntry& e, VertexId src) {
-              return e.source < src;
-            });
-        hint = static_cast<size_t>(it - table.begin());
-        if (it->dist + min_incident_ > radius_) continue;
+        const Weight dist = table[index_.at(s)].dist;
+        if (dist + min_incident_ > radius_) continue;
         words_buf_.push_back(static_cast<std::uint64_t>(s));
-        words_buf_.push_back(Message::encode_weight(it->dist));
+        words_buf_.push_back(Message::encode_weight(dist));
       }
       pending_.clear();
       if (!words_buf_.empty()) ctx.broadcast_words(kTagBoundedBatch, words_buf_);
@@ -202,11 +250,11 @@ class BoundedProgram final : public NodeProgram {
       // std::set iteration order of the original implementation).
       const VertexId s = pending_.front();
       pending_.erase(pending_.begin());
-      const auto it = table_find(table, s);
-      const Message msg(kTagBounded, {static_cast<std::uint64_t>(s),
-                                      Message::encode_weight(it->dist)});
+      const Message msg(kTagBounded,
+                        {static_cast<std::uint64_t>(s),
+                         Message::encode_weight(table[index_.at(s)].dist)});
       // Reliable mode ships the same encoding through the transport; the
-      // canonical relax_edge fixed point absorbs whatever delay/order the
+      // canonical offer_g_edge fixed point absorbs whatever delay/order the
       // retransmissions introduce.
       for (int i = 0; i < degree; ++i)
         reliable_ ? ctx.reliable_send_on_link(i, msg) : ctx.send_on_link(i, msg);
@@ -214,6 +262,11 @@ class BoundedProgram final : public NodeProgram {
   }
 
   bool quiescent() const override { return pending_.empty(); }
+
+  // Called once the run is over: restores the table's source order.
+  void seal() {
+    merge_appended(state_[static_cast<size_t>(self_)], sorted_len_);
+  }
 
  private:
   void mark_pending(VertexId source) {
@@ -234,9 +287,10 @@ class BoundedProgram final : public NodeProgram {
   bool batched_;
   bool reliable_;
   std::vector<SourceTable>& state_;
+  size_t sorted_len_;  // table size when the run started
+  SourceIndex index_;  // built on the first invocation
   std::vector<VertexId> pending_;  // source ids awaiting announcement
   std::vector<std::uint64_t> words_buf_;
-  SourceTable fresh_buf_;  // relax_batch deferred-insert scratch
 };
 
 // Concurrent-scale (wave) program: channel c's records live in their own
@@ -244,7 +298,10 @@ class BoundedProgram final : public NodeProgram {
 // scales' explorations share one scheduler execution without mixing state.
 // Round 0 re-announces only the per-link filtered shell (see the wave API
 // comment in the header); later rounds announce each channel's improved
-// records exactly like BoundedProgram does for its single flow.
+// records exactly like BoundedProgram does for its single flow. A source's
+// records live only in its owning channel, and every offer travels on that
+// channel, so one index per vertex maps each source to its position in the
+// owning channel's table.
 class WaveProgram final : public NodeProgram {
  public:
   WaveProgram(VertexId self, const std::vector<Weight>& channel_radius,
@@ -254,18 +311,23 @@ class WaveProgram final : public NodeProgram {
         channel_radius_(channel_radius),
         explored_radius_(explored_radius),
         state_(state),
-        pending_(channel_radius.size()) {}
+        sorted_len_(channel_radius.size()),
+        pending_(channel_radius.size()) {
+    for (size_t ch = 0; ch < sorted_len_.size(); ++ch)
+      sorted_len_[ch] = state[ch][static_cast<size_t>(self)].size();
+  }
 
   void on_round(NodeContext& ctx, std::span<const Delivery> inbox) override {
+    if (index_.empty()) build_index();
     for (const Delivery& d : inbox) {
       LN_ASSERT(d.msg.tag == kTagBoundedBatch);
       const std::uint8_t ch = d.msg.channel;
       SourceTable& table = state_[ch][static_cast<size_t>(self_)];
       std::vector<VertexId>& pending = pending_[ch];
       const Weight w = ctx.network().graph().edge(d.edge).w;
-      relax_batch(table, ctx.payload(d.msg), w, channel_radius_[ch], d.from,
-                  d.edge, fresh_buf_,
-                  [&pending](VertexId s) { pending.push_back(s); });
+      relax_offers(table, index_, ctx.payload(d.msg), w, channel_radius_[ch],
+                   d.from, d.edge,
+                   [&pending](VertexId s) { pending.push_back(s); });
     }
     if (ctx.round() == 0) {
       announce_shell(ctx);
@@ -286,15 +348,9 @@ class WaveProgram final : public NodeProgram {
       // strictly stronger than the min-incident prune, and the receiver
       // never sees an offer it would reject on the radius check.
       ann_buf_.clear();
-      size_t hint = 0;
       for (VertexId s : pending) {
-        const auto it = std::lower_bound(
-            table.begin() + static_cast<std::ptrdiff_t>(hint), table.end(), s,
-            [](const BoundedSourceEntry& e, VertexId src) {
-              return e.source < src;
-            });
-        hint = static_cast<size_t>(it - table.begin());
-        ann_buf_.push_back({s, it->dist, Message::encode_weight(it->dist)});
+        const Weight dist = table[index_.at(s)].dist;
+        ann_buf_.push_back({s, dist, Message::encode_weight(dist)});
       }
       pending.clear();
       for (size_t li = 0; li < links.size(); ++li) {
@@ -321,6 +377,12 @@ class WaveProgram final : public NodeProgram {
 
   size_t shell_offers() const { return shell_offers_; }
 
+  // Called once the run is over: restores every channel table's order.
+  void seal() {
+    for (size_t ch = 0; ch < sorted_len_.size(); ++ch)
+      merge_appended(state_[ch][static_cast<size_t>(self_)], sorted_len_[ch]);
+  }
+
  private:
   struct Announce {
     VertexId source;
@@ -333,6 +395,14 @@ class WaveProgram final : public NodeProgram {
     Weight explored;
   };
 
+  void build_index() {
+    size_t records = 0;
+    for (const size_t len : sorted_len_) records += len;
+    index_.reset(records);
+    for (const std::vector<SourceTable>& chan : state_)
+      index_.add(chan[static_cast<size_t>(self_)]);
+  }
+
   // Warm-start announcements: a record (s, d) is offered on link ℓ only if
   // d + w(ℓ) lands in (explored_radius[s], radius of s's channel] — below
   // the window the offer was already made by the run that produced the
@@ -340,7 +410,8 @@ class WaveProgram final : public NodeProgram {
   // explored_radius < 0, so their zero-distance record floods every link
   // within the radius, exactly a cold seed. Interior records (the vast
   // majority on warm starts) are rejected with a single comparison against
-  // the extreme incident weights instead of deg(v) per-link checks.
+  // the extreme incident weights instead of deg(v) per-link checks. Round 0
+  // delivers nothing, so the tables are still in source order here.
   void announce_shell(NodeContext& ctx) {
     const auto links = ctx.links();
     if (links.empty()) return;
@@ -386,11 +457,12 @@ class WaveProgram final : public NodeProgram {
   const std::vector<Weight>& channel_radius_;
   const std::vector<Weight>& explored_radius_;
   std::vector<std::vector<SourceTable>>& state_;
+  std::vector<size_t> sorted_len_;  // per channel: table size at run start
+  SourceIndex index_;               // built on the first invocation
   std::vector<std::vector<VertexId>> pending_;  // per channel
   std::vector<std::uint64_t> words_buf_;
   std::vector<Announce> ann_buf_;
   std::vector<ShellRec> shell_buf_;
-  SourceTable fresh_buf_;  // relax_batch deferred-insert scratch
   size_t shell_offers_ = 0;
 };
 
@@ -456,6 +528,8 @@ void run_bounded_kernel(const RoundedSubstrate& substrate, Weight radius,
         std::move(pending0[static_cast<size_t>(v)])));
   congest::Scheduler scheduler(substrate.network, std::move(programs), sched);
   result.cost = scheduler.run();
+  for (VertexId v = 0; v < n; ++v)
+    static_cast<BoundedProgram&>(scheduler.program(v)).seal();
   finalize_tables(result);
 }
 
@@ -618,10 +692,6 @@ WaveExploreResult bounded_multi_source_paths_wave(
     SourceTable merged;
     SourceTable filtered;
     SourceTable tmp;
-    const auto by_source = [](const BoundedSourceEntry& a,
-                              const BoundedSourceEntry& b) {
-      return a.source < b.source;
-    };
     for (VertexId v = 0; v < n; ++v) {
       merged.clear();
       for (std::vector<SourceTable>& chan : prev.table) {
@@ -642,7 +712,7 @@ WaveExploreResult bounded_multi_source_paths_wave(
         }
         tmp.clear();
         std::merge(merged.begin(), merged.end(), filtered.begin(),
-                   filtered.end(), std::back_inserter(tmp), by_source);
+                   filtered.end(), std::back_inserter(tmp), kBySource);
         merged.swap(tmp);
       }
       result.records_inherited += merged.size();
@@ -677,9 +747,11 @@ WaveExploreResult bounded_multi_source_paths_wave(
         v, channel_radius, state.explored_radius, state.table));
   congest::Scheduler scheduler(substrate.network, std::move(programs), sched);
   result.cost = scheduler.run();
-  for (VertexId v = 0; v < n; ++v)
-    result.shell_announcements +=
-        static_cast<WaveProgram&>(scheduler.program(v)).shell_offers();
+  for (VertexId v = 0; v < n; ++v) {
+    WaveProgram& program = static_cast<WaveProgram&>(scheduler.program(v));
+    program.seal();
+    result.shell_announcements += program.shell_offers();
+  }
 
   // The wave's sources now stand explored to their owning scale's radius.
   for (VertexId v = 0; v < n; ++v) {
@@ -726,6 +798,8 @@ BoundedMultiSourceResult run_hopset_bf(const WeightedGraph& h,
   BoundedMultiSourceResult result;
   result.table.resize(n);
 
+  LN_REQUIRE(hopset.edges.size() <= kMaxHopsetEdges,
+             "hopset has more edges than a record can index");
   // Per-hub incidence over the hopset's virtual edges (the forward flag
   // records which endpoint the stored u→v path leaves from).
   struct HopsetIncidence {
@@ -779,9 +853,8 @@ BoundedMultiSourceResult run_hopset_bf(const WeightedGraph& h,
         ++edge_offers;
         const Weight cand = dv + h.edge(inc.edge).w;
         if (cand > rs) continue;
-        size_t hint = 0;  // random-access pattern: no cursor to carry
-        if (relax_edge(result.table[static_cast<size_t>(inc.neighbor)], hint,
-                       s, cand, v, inc.edge))
+        if (relax_edge(result.table[static_cast<size_t>(inc.neighbor)], s,
+                       cand, v, inc.edge))
           next_dirty.emplace_back(inc.neighbor, s);
       }
       // Hopset-edge relaxations: hubs exchange their estimates globally
@@ -809,7 +882,7 @@ BoundedMultiSourceResult run_hopset_bf(const WeightedGraph& h,
           target->hopset_forward = hi.forward;
         } else {
           // Equal-distance canonicalization among hopset parents (a G-edge
-          // parent always outranks us — see relax_edge): smallest
+          // parent always outranks us — see offer_g_edge): smallest
           // (parent, hopset_edge) wins, making the fixed point independent
           // of relaxation order. No distance changed, so nothing re-dirties
           // and no hub update is charged.

@@ -2,9 +2,12 @@
 //
 // Runs all sources' bounded explorations in parallel over the CONGEST
 // kernel: every vertex keeps one (distance, parent) record per source whose
-// ball reaches it, stored as a flat vector sorted by source id (binary-
-// searched lookups, cache-friendly iteration — the per-vertex std::map of
-// the original implementation is gone). In doubling graphs the packing
+// ball reaches it, stored as a flat vector of 24-byte records. Every table
+// this header hands out is sorted by source id. While a scheduler run
+// lasts, a vertex's program only appends to its table and finds records
+// through a per-vertex hash index (source → position), so each offer costs
+// O(1); when the run returns, each table's appended tail is sorted and
+// merged into its sorted prefix once. In doubling graphs the packing
 // property bounds the number of sources touching any vertex, which bounds
 // both memory and rounds — the max_sources_per_vertex field is the per-run
 // certificate of that argument.
@@ -44,13 +47,15 @@
 namespace lightnet {
 
 struct BoundedSourceEntry {
-  VertexId source = kNoVertex;
   Weight dist = 0.0;
+  VertexId source = kNoVertex;
   VertexId parent = kNoVertex;   // kNoVertex at the source itself
   EdgeId parent_edge = kNoEdge;  // kNoEdge at source; otherwise a G-edge or
-  int hopset_edge = -1;          // index into hopset.edges when relaxed via F
-  bool hopset_forward = true;    // orientation of that hopset edge
+  int hopset_edge : 31 = -1;     // index into hopset.edges when relaxed via F
+  bool hopset_forward : 1 = true;  // orientation of that hopset edge
 };
+static_assert(sizeof(BoundedSourceEntry) == 24,
+              "the hopset edge and its orientation share one word");
 
 struct BoundedMultiSourceResult {
   // table[v]: entries sorted by source id; one per source with
@@ -79,7 +84,7 @@ BoundedMultiSourceResult bounded_multi_source_paths(
 
 // Retransmit-aware variant for faulty networks: the legacy one-source-per-
 // round encoding with every announcement shipped through the reliable
-// transport (congest/reliable.h). Because relax_edge keeps the canonical
+// transport (congest/reliable.h). Because relaxation keeps the canonical
 // fixed point regardless of offer arrival order, the tables are
 // bit-identical to a fault-free run whenever every node stays reachable —
 // drops only cost retransmissions, which the ledger reports. Forces
@@ -99,7 +104,7 @@ BoundedMultiSourceResult bounded_multi_source_paths_reliable(
 // resulting tables are bit-identical to a cold run at `radius`: distances
 // because bounded relaxations prune prefix-monotonically, parents because
 // the shell re-offers are the only offers the previous fixed point never
-// saw and records are canonicalized (see relax_edge). Pass an empty `prev`
+// saw and records are canonicalized (see offer_g_edge). Pass an empty `prev`
 // for a cold start.
 BoundedMultiSourceResult bounded_multi_source_paths_incremental(
     const RoundedSubstrate& substrate, std::span<const VertexId> sources,
@@ -119,7 +124,7 @@ BoundedMultiSourceResult bounded_multi_source_paths_incremental(
 // truncating the fixed point at radius R to entries with dist ≤ r < R
 // yields precisely the fixed point at r, distances by prefix-monotone
 // pruning and parents because canonical parents are radius-independent
-// (every parent chain descends in distance, see relax_edge).
+// (every parent chain descends in distance, see offer_g_edge).
 //
 // Warm starts carry over between waves through WaveExploreState: surviving
 // records stay silent except the boundary shell, and the shell re-offers

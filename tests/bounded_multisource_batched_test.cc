@@ -36,6 +36,14 @@ void expect_identical_tables(const BoundedMultiSourceResult& a,
   ASSERT_EQ(a.table.size(), b.table.size());
   for (size_t v = 0; v < a.table.size(); ++v) {
     ASSERT_EQ(a.table[v].size(), b.table[v].size()) << "vertex " << v;
+    // Runs append records and sort once when they end; every table an
+    // entry point returns must be strictly ascending by source again.
+    for (size_t j = 1; j < a.table[v].size(); ++j) {
+      EXPECT_LT(a.table[v][j - 1].source, a.table[v][j].source)
+          << "vertex " << v;
+      EXPECT_LT(b.table[v][j - 1].source, b.table[v][j].source)
+          << "vertex " << v;
+    }
     for (size_t j = 0; j < a.table[v].size(); ++j) {
       const BoundedSourceEntry& ea = a.table[v][j];
       const BoundedSourceEntry& eb = b.table[v][j];

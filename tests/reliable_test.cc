@@ -5,8 +5,9 @@
 //      fixpoint) and the retransmission counter matches the drop counter —
 //      stop-and-wait turns every dropped frame or ack into exactly one
 //      retransmission;
-//  (3) the bounded multi-source tables survive drops unchanged (relax_edge
-//      keeps the canonical fixed point regardless of offer arrival order);
+//  (3) the bounded multi-source tables survive drops and reordered inboxes
+//      unchanged (relaxation keeps the canonical fixed point regardless of
+//      offer arrival order, and tables are sorted when a run ends);
 //  (4) heavy loss (25%) still converges; loss on down links (link_fail
 //      intervals) still converges.
 #include <gtest/gtest.h>
@@ -43,6 +44,9 @@ void expect_same_tables(const BoundedMultiSourceResult& a,
   ASSERT_EQ(a.table.size(), b.table.size()) << context;
   for (size_t v = 0; v < a.table.size(); ++v) {
     ASSERT_EQ(a.table[v].size(), b.table[v].size()) << context << " v=" << v;
+    for (size_t i = 1; i < b.table[v].size(); ++i)
+      EXPECT_LT(b.table[v][i - 1].source, b.table[v][i].source)
+          << context << " v=" << v;
     for (size_t i = 0; i < a.table[v].size(); ++i) {
       const auto& ea = a.table[v][i];
       const auto& eb = b.table[v][i];
@@ -127,14 +131,22 @@ TEST(ReliableBoundedMultiSource, TablesMatchFaultFreeUnderDrops) {
     const BoundedMultiSourceResult clean =
         bounded_multi_source_paths(substrate, sources, radius, legacy);
 
-    SchedulerOptions lossy;
-    lossy.fault.seed = 7;
-    lossy.fault.drop = 0.05;
-    const BoundedMultiSourceResult recovered =
-        bounded_multi_source_paths_reliable(substrate, sources, radius,
-                                            lossy);
-    expect_same_tables(clean, recovered, name);
-    EXPECT_EQ(recovered.cost.retransmitted, recovered.cost.dropped) << name;
+    // Drops alone, then drops with every inbox permuted: offers reach a
+    // vertex in a different order, so its records are appended in a
+    // different order before the run's closing sort.
+    for (const bool reorder : {false, true}) {
+      SchedulerOptions lossy;
+      lossy.fault.seed = 7;
+      lossy.fault.drop = 0.05;
+      lossy.fault.reorder = reorder;
+      const std::string context = name + (reorder ? "/reorder" : "/drop");
+      const BoundedMultiSourceResult recovered =
+          bounded_multi_source_paths_reliable(substrate, sources, radius,
+                                              lossy);
+      expect_same_tables(clean, recovered, context);
+      EXPECT_EQ(recovered.cost.retransmitted, recovered.cost.dropped)
+          << context;
+    }
   }
 }
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <utility>
 
 #include "graph/generators.h"
 #include "tests/test_util.h"
@@ -40,6 +42,26 @@ class RelayProgram final : public NodeProgram {
   int count_;
   std::vector<int>& received_;
   int to_send_ = 0;
+};
+
+// Wraps a program and runs `nested` (a whole second scheduler run) from
+// inside its first invocation.
+class NestingProgram final : public NodeProgram {
+ public:
+  NestingProgram(std::unique_ptr<NodeProgram> inner,
+                 std::function<void()> nested)
+      : inner_(std::move(inner)), nested_(std::move(nested)) {}
+
+  void on_round(NodeContext& ctx, std::span<const Delivery> inbox) override {
+    if (nested_) std::exchange(nested_, nullptr)();
+    inner_->on_round(ctx, inbox);
+  }
+
+  bool quiescent() const override { return inner_->quiescent(); }
+
+ private:
+  std::unique_ptr<NodeProgram> inner_;
+  std::function<void()> nested_;
 };
 
 // Deliberately violates CONGEST by sending two messages on one edge.
@@ -183,7 +205,38 @@ TEST(Scheduler, ScratchAdoptionIsBitIdenticalAndReusesCapacity) {
   // with or without a scratch, warm or cold.
   EXPECT_EQ(first_recv, plain_recv);
   EXPECT_EQ(second_recv, plain_recv);
-  for (const CostStats& cost : {first_cost, second_cost}) {
+
+  // Without a donated pool a run adopts its thread's own, so a repeat of
+  // the plain run regrows nothing.
+  const auto [repeat_recv, repeat_cost] = run_relay(nullptr);
+  EXPECT_EQ(repeat_recv, plain_recv);
+  EXPECT_EQ(repeat_cost.inbox_reallocs, 0u);
+
+  // Nested runs without a donated pool: the outer run holds the thread's
+  // pool, so a run started from inside one of its programs finds the pool
+  // in use and builds private buffers. Both runs equal the unnested one,
+  // and neither touches the donated scratch.
+  std::pair<std::vector<int>, CostStats> inner;
+  std::vector<int> outer_recv(4, 0);
+  CostStats outer_cost;
+  {
+    Network net(g);
+    std::vector<std::unique_ptr<NodeProgram>> programs;
+    programs.push_back(std::make_unique<NestingProgram>(
+        std::make_unique<RelayProgram>(0, 4, 5, outer_recv),
+        [&] { inner = run_relay(nullptr); }));
+    for (VertexId v = 1; v < 4; ++v)
+      programs.push_back(std::make_unique<RelayProgram>(v, 4, 5, outer_recv));
+    Scheduler sched(net, std::move(programs));
+    outer_cost = sched.run();
+  }
+  EXPECT_EQ(inner.first, plain_recv);
+  EXPECT_EQ(outer_recv, plain_recv);
+  EXPECT_EQ(scratch.adoptions, 2u);
+  EXPECT_FALSE(scratch.in_use);
+
+  for (const CostStats& cost :
+       {first_cost, second_cost, repeat_cost, inner.second, outer_cost}) {
     EXPECT_EQ(cost.rounds, plain_cost.rounds);
     EXPECT_EQ(cost.messages, plain_cost.messages);
     EXPECT_EQ(cost.words, plain_cost.words);

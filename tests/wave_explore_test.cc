@@ -18,6 +18,14 @@
 namespace lightnet {
 namespace {
 
+// Runs append records and sort once when they end: every table an entry
+// point returns must be strictly ascending by source again.
+void expect_sources_ascend(const std::vector<BoundedSourceEntry>& table,
+                           size_t v) {
+  for (size_t j = 1; j < table.size(); ++j)
+    EXPECT_LT(table[j - 1].source, table[j].source) << "vertex " << v;
+}
+
 // Slice the wave state back into one scale's standalone table layout.
 std::vector<std::vector<BoundedSourceEntry>> slice_scale(
     const WaveExploreState& state, const std::vector<std::uint8_t>& channel_of,
@@ -28,6 +36,8 @@ std::vector<std::vector<BoundedSourceEntry>> slice_scale(
   for (VertexId v = 0; v < n; ++v) {
     for (const std::vector<std::vector<BoundedSourceEntry>>& chan :
          state.table) {
+      expect_sources_ascend(chan[static_cast<size_t>(v)],
+                            static_cast<size_t>(v));
       for (const BoundedSourceEntry& e : chan[static_cast<size_t>(v)]) {
         if (!active[static_cast<size_t>(e.source)]) continue;
         if (e.dist > radius) continue;
@@ -49,6 +59,8 @@ void expect_slice_matches(
     const BoundedMultiSourceResult& ref) {
   ASSERT_EQ(sliced.size(), ref.table.size());
   for (size_t v = 0; v < sliced.size(); ++v) {
+    expect_sources_ascend(ref.table[v], v);
+    expect_sources_ascend(sliced[v], v);
     ASSERT_EQ(sliced[v].size(), ref.table[v].size()) << "vertex " << v;
     for (size_t j = 0; j < sliced[v].size(); ++j) {
       const BoundedSourceEntry& a = sliced[v][j];
