@@ -67,9 +67,9 @@ void BM_A3_SpannerEpsilon(benchmark::State& state) {
   LightSpannerParams params;
   params.k = 2;
   params.epsilon = eps;
-  params.seed = 7;
+  const api::RunContext ctx = api::RunContext{}.with_seed(7);
   LightSpannerResult r;
-  for (auto _ : state) r = build_light_spanner(g, params);
+  for (auto _ : state) r = build_light_spanner(g, params, ctx);
   lightnet::bench::report_cost(state, r.ledger.total());
   state.counters["stretch"] = max_edge_stretch(g, r.spanner);
   state.counters["lightness"] = lightness(g, r.spanner);
@@ -100,10 +100,10 @@ void BM_A4_HopsetOnOff(benchmark::State& state) {
   const WeightedGraph g = wheel(n);
   DoublingSpannerParams params;
   params.epsilon = 0.25;
-  params.seed = 7;
+  const api::RunContext ctx = api::RunContext{}.with_seed(7);
   params.use_hopset = use_hopset;
   DoublingSpannerResult r;
-  for (auto _ : state) r = build_doubling_spanner(g, params);
+  for (auto _ : state) r = build_doubling_spanner(g, params, ctx);
   lightnet::bench::report_cost(state, r.ledger.total());
   state.counters["stretch"] = max_edge_stretch(g, r.spanner);
   state.counters["hopset"] = use_hopset ? 1.0 : 0.0;

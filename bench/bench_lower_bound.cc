@@ -35,8 +35,9 @@ void BM_MstEstimate(benchmark::State& state, const std::string& family) {
   const int n = static_cast<int>(state.range(0));
   const double delta = static_cast<double>(state.range(1)) / 100.0;
   const WeightedGraph g = instance(family, n);
+  const api::RunContext ctx = api::RunContext{}.with_seed(7);
   MstEstimateResult r;
-  for (auto _ : state) r = estimate_mst_weight(g, delta, 7);
+  for (auto _ : state) r = estimate_mst_weight(g, delta, ctx);
   lightnet::bench::report_cost(state, r.ledger.total());
   state.counters["psi_over_mst"] = r.ratio;
   state.counters["alpha"] = r.alpha;

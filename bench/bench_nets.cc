@@ -39,9 +39,9 @@ void BM_DistributedNet(benchmark::State& state, const std::string& family) {
   NetParams params;
   params.radius = 0.1 * g.total_weight() / g.num_edges() * 10.0;
   params.delta = delta;
-  params.seed = 7;
+  const api::RunContext ctx = api::RunContext{}.with_seed(7);
   NetResult r;
-  for (auto _ : state) r = build_net(g, params);
+  for (auto _ : state) r = build_net(g, params, ctx);
   lightnet::bench::report_cost(state, r.ledger.total());
   const NetCheck check =
       check_net(g, r.net, (1.0 + delta) * params.radius,

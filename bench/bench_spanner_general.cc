@@ -43,9 +43,9 @@ void BM_LightSpanner(benchmark::State& state, const std::string& family) {
   LightSpannerParams params;
   params.k = k;
   params.epsilon = 0.25;
-  params.seed = 7;
+  const api::RunContext ctx = api::RunContext{}.with_seed(7);
   LightSpannerResult r;
-  for (auto _ : state) r = build_light_spanner(g, params);
+  for (auto _ : state) r = build_light_spanner(g, params, ctx);
   lightnet::bench::report_cost(state, r.ledger.total());
   state.counters["stretch"] = max_edge_stretch(g, r.spanner);
   state.counters["stretch_bound"] = (2.0 * k - 1.0) * (1.0 + params.epsilon);

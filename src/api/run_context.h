@@ -1,9 +1,7 @@
 // RunContext: the uniform execution environment of a construction.
 //
-// Before this layer every core entry point had its own seed field and no way
-// to pin the scheduler mode; sweeping constructions × topologies meant
-// re-plumbing both for each algorithm. A RunContext bundles the three knobs
-// every run shares:
+// A RunContext bundles the knobs every run of a construction shares, so a
+// driver sweeping constructions × topologies plumbs them once:
 //   - seed:  the root of all randomness (per-phase streams are derived by
 //     tag-XOR, see support/rng.h), making a run a pure function of
 //     (graph, params, seed);
@@ -14,10 +12,8 @@
 //     full per-phase breakdown under a prefix, letting a driver accumulate
 //     one ledger across a multi-construction pipeline.
 //
-// Core entry points take `const RunContext&` overloads; the legacy
-// signatures remain as thin wrappers that build a RunContext from their old
-// parameters (e.g. LightSpannerParams::seed). In a RunContext overload the
-// context's seed is authoritative.
+// Every core entry point takes a `const RunContext&`; no parameter struct
+// carries a seed of its own, so ctx.seed is the only source of randomness.
 #pragma once
 
 #include <cstdint>

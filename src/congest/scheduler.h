@@ -223,12 +223,6 @@ struct SchedulerOptions {
   // execution (deliveries, stats) is identical either way; this is the
   // reference mode tests compare against and benchmarks measure.
   bool full_sweep = false;
-  // Programs that support batched multi-word announcements (the bounded
-  // multi-source explorations of the doubling pipeline) fall back to their
-  // strictly CONGEST-legal one-item-per-round pipelined encoding when set
-  // — the determinism reference the batched fast path is tested against
-  // (identical tables and outputs; only the cost ledger differs).
-  bool legacy_unbatched = false;
   // Number of logical channels sharing this execution (Message::channel).
   // 1 (the default) adds no accounting at all; values > 1 allocate
   // per-channel message/word counters and a channel-strided congestion
@@ -238,9 +232,7 @@ struct SchedulerOptions {
   // The doubling pipeline's reference mode: run the O(log W) scales as the
   // original strictly sequential loop of scheduler passes instead of the
   // concurrent-scale waves (core/doubling_spanner.cc). Spanners are
-  // bit-identical either way — this is the reference the concurrent path
-  // is tested against, the same pattern legacy_unbatched serves for the
-  // batched encoding.
+  // bit-identical either way; bench_doubling checks the waves against it.
   bool sequential_scales = false;
   // Optional donated arena pool (see SchedulerScratch above). Null means the
   // Scheduler adopts its thread's own pool.

@@ -45,12 +45,6 @@ double ms_since(const Clock::time_point& t0) {
 }  // namespace
 
 DoublingSpannerResult build_doubling_spanner(
-    const WeightedGraph& g, const DoublingSpannerParams& params) {
-  return build_doubling_spanner(g, params,
-                                api::RunContext{}.with_seed(params.seed));
-}
-
-DoublingSpannerResult build_doubling_spanner(
     const WeightedGraph& g, const DoublingSpannerParams& params,
     const api::RunContext& ctx) {
   LN_REQUIRE(params.epsilon > 0.0 && params.epsilon < 1.0,
@@ -87,14 +81,12 @@ DoublingSpannerResult build_doubling_spanner(
   }
 
   // Concurrent scales fuse consecutive explorations into shared scheduler
-  // waves over channel-tagged messages; the sequential path runs one
-  // exploration per scale (reference mode, and the only encoding the legacy
-  // unbatched messages support). Spanners are bit-identical either way: the
-  // wave tables slice back into exactly the per-scale tables (see
+  // waves over channel-tagged messages; the sequential path (reference
+  // mode) runs one exploration per scale. Spanners are bit-identical either
+  // way: the wave tables slice back into exactly the per-scale tables (see
   // bounded_multisource.h), and the spanner is read off an edge-id byte map
   // in ascending order, whatever order the paths were collected in.
-  const bool concurrent =
-      !ctx.sched.sequential_scales && !ctx.sched.legacy_unbatched;
+  const bool concurrent = !ctx.sched.sequential_scales;
 
   // Path edges are collected per wave (or scale) into `path_edges`, then
   // marked in `in_spanner`: about 1.9M collected ids name about 4k distinct
@@ -267,9 +259,10 @@ DoublingSpannerResult build_doubling_spanner(
       for (size_t j = pair_count[i]; j < pair_count[i + 1]; ++j) {
         const bool found =
             params.use_hopset
-                ? collect_path_edges(hopset_union, &hopset, pair_targets[j],
-                                     s, stamp, epoch, path_edges)
-                : collect_path_edges_in(
+                ? collect_path_edges(hopset_union.table, &hopset,
+                                     pair_targets[j], s, stamp, epoch,
+                                     path_edges)
+                : collect_path_edges(
                       wave_state.table[wexp.channel_of[
                           static_cast<size_t>(s)]],
                       nullptr, pair_targets[j], s, stamp, epoch, path_edges);
@@ -341,7 +334,7 @@ DoublingSpannerResult build_doubling_spanner(
         const Clock::time_point chain_start = Clock::now();
         const double next_spacing = seed_spacing * (1.0 + eps);
         if (params.use_hopset) {
-          seed_chain = bounded_multi_source_paths_hopset_on(
+          seed_chain = bounded_multi_source_paths_hopset(
               explore_substrate.rounded, hopset, net.net, next_spacing,
               hop_diameter);
         } else {
@@ -380,9 +373,9 @@ DoublingSpannerResult build_doubling_spanner(
     const Clock::time_point explore_start = Clock::now();
     BoundedMultiSourceResult explore =
         params.use_hopset
-            ? bounded_multi_source_paths_hopset_on(explore_substrate.rounded,
-                                                   hopset, net.net,
-                                                   2.0 * scale, hop_diameter)
+            ? bounded_multi_source_paths_hopset(explore_substrate.rounded,
+                                                hopset, net.net, 2.0 * scale,
+                                                hop_diameter)
             : bounded_multi_source_paths_incremental(
                   explore_substrate, net.net, 2.0 * scale,
                   prev_explore_radius, std::move(prev_explore), ctx.sched);
@@ -430,8 +423,8 @@ DoublingSpannerResult build_doubling_spanner(
       const VertexId s = net.net[i];
       for (size_t j = pair_count[i]; j < pair_count[i + 1]; ++j) {
         const bool found = collect_path_edges(
-            explore, params.use_hopset ? &hopset : nullptr, pair_targets[j],
-            s, stamp, epoch, path_edges);
+            explore.table, params.use_hopset ? &hopset : nullptr,
+            pair_targets[j], s, stamp, epoch, path_edges);
         LN_ASSERT_MSG(found, "discovered pair has no extractable path");
         ++diag.pairs_connected;
       }

@@ -9,23 +9,23 @@
 // (net size vs. Claim 7's ⌈2L/r⌉, and max_sources_per_vertex vs. the
 // packing bound).
 //
-// Pipeline (PR 5): the rounded graphs and communication Networks for the
+// Pipeline: the rounded graphs and communication Networks for the
 // explorations and the net substrate are built once and reused across all
 // O(log_{1+ε} W) scales; each scale's net is seeded from the previous
-// (finer) net — filtered down to the new scale's separation using the
-// previous exploration's distance table — so the LE-list iterations only
-// process the fringe the seeds fail to cover; explorations run the batched
-// multi-source encoding (see routines/bounded_multisource.h) unless
-// RunContext::sched.legacy_unbatched pins the pre-batching legacy mode;
-// and per-scale path extraction memoizes shared prefixes per source. The
-// spanner edge set is bit-identical between the batched and legacy
-// encodings.
+// (finer) net — filtered down to the new scale's separation using a
+// bounded exploration of that net — so the LE-list iterations only process
+// the fringe the seeds fail to cover. Consecutive scales' explorations run
+// fused into concurrent-scale waves (routines/bounded_multisource.h), and
+// each wave's pairs are connected once, with path extraction memoizing
+// shared prefixes per source. RunContext::sched.sequential_scales runs the
+// scales one scheduler pass at a time instead (the reference bench_doubling
+// checks the waves against); the spanner edge set is bit-identical either
+// way.
 //
 // use_hopset switches the explorations to the hopset-accelerated variant
 // (§7.1), bounding Bellman-Ford iterations on deep graphs.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "api/run_context.h"
@@ -37,9 +37,6 @@ namespace lightnet {
 struct DoublingSpannerParams {
   double epsilon = 0.125;  // paper analyzes ε < 1/8; larger values run but
                            // carry the rescaled constant
-  // Legacy seed; the RunContext overload ignores it in favor of
-  // RunContext::seed.
-  std::uint64_t seed = 1;
   bool use_hopset = false;
 };
 
@@ -73,14 +70,10 @@ struct DoublingSpannerResult {
   std::vector<ScaleDiagnostics> scales;
 };
 
-// Canonical entry point: randomness from ctx.seed, every kernel execution
-// under ctx.sched, per-phase costs mirrored into ctx.ledger_sink.
+// Randomness from ctx.seed, every kernel execution under ctx.sched,
+// per-phase costs mirrored into ctx.ledger_sink.
 DoublingSpannerResult build_doubling_spanner(const WeightedGraph& g,
                                              const DoublingSpannerParams& params,
                                              const api::RunContext& ctx);
-
-// Back-compat wrapper: RunContext built from params.seed.
-DoublingSpannerResult build_doubling_spanner(
-    const WeightedGraph& g, const DoublingSpannerParams& params);
 
 }  // namespace lightnet

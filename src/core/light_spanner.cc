@@ -109,12 +109,6 @@ Clustering cluster_case2(const EulerTourResult& tour, int n, double band,
 }  // namespace
 
 LightSpannerResult build_light_spanner(const WeightedGraph& g,
-                                       const LightSpannerParams& params) {
-  return build_light_spanner(g, params,
-                             api::RunContext{}.with_seed(params.seed));
-}
-
-LightSpannerResult build_light_spanner(const WeightedGraph& g,
                                        const LightSpannerParams& params,
                                        const api::RunContext& ctx) {
   LN_REQUIRE(params.k >= 1, "k must be at least 1");

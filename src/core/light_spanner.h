@@ -30,9 +30,6 @@ namespace lightnet {
 struct LightSpannerParams {
   int k = 2;
   double epsilon = 0.25;
-  // Legacy seed; the RunContext overload ignores it in favor of
-  // RunContext::seed.
-  std::uint64_t seed = 1;
   // §5.1 "Success probability": rerun a bucket whose spanner exceeds the
   // expected size bound; stretch is deterministic, so retries only bound
   // size/lightness.
@@ -57,14 +54,10 @@ struct LightSpannerResult {
   size_t mst_edge_count = 0;
 };
 
-// Canonical entry point: randomness from ctx.seed, every kernel execution
-// under ctx.sched, per-phase costs mirrored into ctx.ledger_sink.
+// Randomness from ctx.seed, every kernel execution under ctx.sched,
+// per-phase costs mirrored into ctx.ledger_sink.
 LightSpannerResult build_light_spanner(const WeightedGraph& g,
                                        const LightSpannerParams& params,
                                        const api::RunContext& ctx);
-
-// Back-compat wrapper: RunContext built from params.seed.
-LightSpannerResult build_light_spanner(const WeightedGraph& g,
-                                       const LightSpannerParams& params);
 
 }  // namespace lightnet

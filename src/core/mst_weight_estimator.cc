@@ -12,11 +12,6 @@
 namespace lightnet {
 
 MstEstimateResult estimate_mst_weight(const WeightedGraph& g, double delta,
-                                      std::uint64_t seed) {
-  return estimate_mst_weight(g, delta, api::RunContext{}.with_seed(seed));
-}
-
-MstEstimateResult estimate_mst_weight(const WeightedGraph& g, double delta,
                                       const api::RunContext& ctx) {
   LN_REQUIRE(delta >= 0.0, "delta must be nonnegative");
   MstEstimateResult result;

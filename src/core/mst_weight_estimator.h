@@ -10,7 +10,6 @@
 // an executable witness of the reduction's correctness.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "api/run_context.h"
@@ -35,9 +34,5 @@ struct MstEstimateResult {
 
 MstEstimateResult estimate_mst_weight(const WeightedGraph& g, double delta,
                                       const api::RunContext& ctx);
-
-// Back-compat wrapper: RunContext built from `seed`.
-MstEstimateResult estimate_mst_weight(const WeightedGraph& g, double delta,
-                                      std::uint64_t seed);
 
 }  // namespace lightnet

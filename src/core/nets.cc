@@ -13,10 +13,6 @@
 
 namespace lightnet {
 
-NetResult build_net(const WeightedGraph& g, const NetParams& params) {
-  return build_net(g, params, api::RunContext{}.with_seed(params.seed));
-}
-
 NetResult build_net(const WeightedGraph& g, const NetParams& params,
                     const api::RunContext& ctx) {
   return build_net(g, params, ctx, {}, nullptr);

@@ -20,7 +20,6 @@
 // out of a scale loop.
 #pragma once
 
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -35,9 +34,6 @@ namespace lightnet {
 struct NetParams {
   Weight radius = 1.0;     // Δ
   double delta = 0.5;      // δ: approximation slack (0 = exact distances)
-  // Legacy seed; the RunContext overload below ignores it in favor of
-  // RunContext::seed (the seed-less wrapper copies it into the context).
-  std::uint64_t seed = 1;
   int max_iterations = 0;  // 0 = 8·log2(n) + 16 safety cap
 };
 
@@ -50,8 +46,8 @@ struct NetResult {
   congest::RoundLedger ledger;
 };
 
-// Canonical entry point: randomness from ctx.seed, every kernel execution
-// under ctx.sched, per-phase costs mirrored into ctx.ledger_sink.
+// Randomness from ctx.seed, every kernel execution under ctx.sched,
+// per-phase costs mirrored into ctx.ledger_sink.
 NetResult build_net(const WeightedGraph& g, const NetParams& params,
                     const api::RunContext& ctx);
 
@@ -62,9 +58,6 @@ NetResult build_net(const WeightedGraph& g, const NetParams& params,
                     const api::RunContext& ctx,
                     std::span<const VertexId> seeds,
                     const RoundedSubstrate* substrate);
-
-// Back-compat wrapper: RunContext built from params.seed.
-NetResult build_net(const WeightedGraph& g, const NetParams& params);
 
 // Thins a finer net down to `separation` for use as the next scale's seeds:
 // a point is kept iff no already-kept point sits within `separation` of it

@@ -17,7 +17,7 @@ using congest::Message;
 using congest::NodeContext;
 using congest::NodeProgram;
 
-constexpr std::uint32_t kTagBounded = 40;       // legacy: one (source, dist)
+constexpr std::uint32_t kTagBounded = 40;       // reliable: one (source, dist)
 constexpr std::uint32_t kTagBoundedBatch = 41;  // batched (source, dist) pairs
 
 // Records hold hopset edge indices in a 31-bit signed field.
@@ -30,7 +30,9 @@ constexpr auto kBySource = [](const BoundedSourceEntry& a,
   return a.source < b.source;
 };
 
-SourceTable::iterator table_find(SourceTable& table, VertexId source) {
+// First record of a source-sorted table whose source is not below `source`.
+template <typename Table>  // SourceTable, const or not
+auto table_find(Table& table, VertexId source) {
   return std::lower_bound(table.begin(), table.end(), source,
                           [](const BoundedSourceEntry& e, VertexId s) {
                             return e.source < s;
@@ -46,8 +48,8 @@ SourceTable::iterator table_find(SourceTable& table, VertexId source) {
 // (hopset records canonicalize among themselves in the Bellman-Ford loop
 // below). The final table is therefore the pointwise minimum over all
 // offers — independent of arrival order, hence bit-identical across the
-// batched/legacy encodings, scheduler modes, and the per-scale/wave-fused
-// groupings of the doubling pipeline.
+// batched and reliable encodings, scheduler modes, and the per-scale/
+// wave-fused groupings of the doubling pipeline.
 bool offer_g_edge(BoundedSourceEntry& rec, Weight cand, VertexId from,
                   EdgeId edge) {
   const bool improved = cand < rec.dist;
@@ -72,6 +74,27 @@ BoundedSourceEntry g_edge_record(VertexId source, Weight dist, VertexId from,
   e.parent = from;
   e.parent_edge = edge;
   return e;
+}
+
+// Seeds the zero-distance record of `source` into its own (sorted) table.
+// Returns false if the table already holds one.
+bool seed_self_record(SourceTable& table, VertexId source) {
+  const auto it = table_find(table, source);
+  if (it != table.end() && it->source == source) return false;
+  BoundedSourceEntry e;
+  e.source = source;
+  e.dist = 0.0;
+  table.insert(it, e);
+  return true;
+}
+
+// Charges the tombstone flood of retired sources: one round in which every
+// dropped record costs one single-word message.
+void charge_tombstones(congest::CostStats& cost, std::uint64_t pruned) {
+  if (pruned == 0) return;
+  cost.rounds += 1;
+  cost.messages += pruned;
+  cost.words += pruned;
 }
 
 // Relaxation into a source-sorted table (the hopset Bellman-Ford loop):
@@ -200,13 +223,14 @@ class BoundedProgram final : public NodeProgram {
   // `initial_pending`: sorted source ids announced in round 0 — {self} for
   // a cold source, the boundary-shell records for a warm start.
   // `min_incident`: smallest incident rounded weight (sender-side pruning).
+  // `reliable` selects the one-source-per-round encoding shipped through
+  // the reliable transport; otherwise announcements are batched.
   BoundedProgram(VertexId self, Weight radius, Weight min_incident,
-                 bool batched, bool reliable, std::vector<SourceTable>& state,
+                 bool reliable, std::vector<SourceTable>& state,
                  std::vector<VertexId> initial_pending)
       : self_(self),
         radius_(radius),
         min_incident_(min_incident),
-        batched_(batched),
         reliable_(reliable),
         state_(state),
         sorted_len_(state[static_cast<size_t>(self)].size()),
@@ -225,8 +249,7 @@ class BoundedProgram final : public NodeProgram {
                    d.edge, [this](VertexId s) { mark_pending(s); });
     }
     if (pending_.empty()) return;
-    const int degree = static_cast<int>(ctx.links().size());
-    if (batched_) {
+    if (!reliable_) {
       std::sort(pending_.begin(), pending_.end());
       pending_.erase(std::unique(pending_.begin(), pending_.end()),
                      pending_.end());
@@ -246,18 +269,17 @@ class BoundedProgram final : public NodeProgram {
       pending_.clear();
       if (!words_buf_.empty()) ctx.broadcast_words(kTagBoundedBatch, words_buf_);
     } else {
-      // Legacy pipelining: one source per round, smallest id first (the
-      // std::set iteration order of the original implementation).
+      // The transport frames single messages, so the reliable encoding
+      // pipelines one source per round, smallest id first; the canonical
+      // offer_g_edge fixed point absorbs whatever delay/order the
+      // retransmissions introduce.
       const VertexId s = pending_.front();
       pending_.erase(pending_.begin());
       const Message msg(kTagBounded,
                         {static_cast<std::uint64_t>(s),
                          Message::encode_weight(table[index_.at(s)].dist)});
-      // Reliable mode ships the same encoding through the transport; the
-      // canonical offer_g_edge fixed point absorbs whatever delay/order the
-      // retransmissions introduce.
-      for (int i = 0; i < degree; ++i)
-        reliable_ ? ctx.reliable_send_on_link(i, msg) : ctx.send_on_link(i, msg);
+      const int degree = static_cast<int>(ctx.links().size());
+      for (int i = 0; i < degree; ++i) ctx.reliable_send_on_link(i, msg);
     }
   }
 
@@ -271,9 +293,9 @@ class BoundedProgram final : public NodeProgram {
  private:
   void mark_pending(VertexId source) {
     // Batched announcements sort + dedupe the list right before packing, so
-    // marks are plain appends; legacy mode pops the smallest id per round
-    // and needs the sorted-unique invariant maintained eagerly.
-    if (batched_) {
+    // marks are plain appends; the reliable encoding pops the smallest id
+    // per round and needs the sorted-unique invariant maintained eagerly.
+    if (!reliable_) {
       pending_.push_back(source);
       return;
     }
@@ -284,7 +306,6 @@ class BoundedProgram final : public NodeProgram {
   VertexId self_;
   Weight radius_;
   Weight min_incident_;
-  bool batched_;
   bool reliable_;
   std::vector<SourceTable>& state_;
   size_t sorted_len_;  // table size when the run started
@@ -474,33 +495,6 @@ void finalize_tables(BoundedMultiSourceResult& result) {
         std::max(result.max_sources_per_vertex, table.size());
 }
 
-}  // namespace
-
-const BoundedSourceEntry* find_source_entry_in(
-    const std::vector<std::vector<BoundedSourceEntry>>& table, VertexId v,
-    VertexId source) {
-  const SourceTable& entries = table[static_cast<size_t>(v)];
-  const auto it = std::lower_bound(
-      entries.begin(), entries.end(), source,
-      [](const BoundedSourceEntry& e, VertexId s) { return e.source < s; });
-  if (it == entries.end() || it->source != source) return nullptr;
-  return &*it;
-}
-
-const BoundedSourceEntry* find_source_entry(
-    const BoundedMultiSourceResult& result, VertexId v, VertexId source) {
-  return find_source_entry_in(result.table, v, source);
-}
-
-BoundedMultiSourceResult bounded_multi_source_paths(
-    const WeightedGraph& g, std::span<const VertexId> sources, Weight radius,
-    double epsilon, congest::SchedulerOptions sched) {
-  const RoundedSubstrate substrate(g, epsilon);
-  return bounded_multi_source_paths(substrate, sources, radius, sched);
-}
-
-namespace {
-
 // Shared scheduler harness of the cold and incremental entry points:
 // `result.table` is pre-seeded, `pending0[v]` is what v announces first.
 void run_bounded_kernel(const RoundedSubstrate& substrate, Weight radius,
@@ -509,12 +503,11 @@ void run_bounded_kernel(const RoundedSubstrate& substrate, Weight radius,
                         BoundedMultiSourceResult& result,
                         bool reliable = false) {
   const int n = substrate.rounded.num_vertices();
-  const bool batched = !sched.legacy_unbatched;
   // The batched encoding is multi-word by design; its honest bandwidth
   // lives in CostStats::words and max_edge_load, so the one-message strict
-  // check must not abort it. Legacy mode keeps whatever the caller set,
-  // except that reliable transport frames also need the relaxed budget.
-  if (batched || reliable) sched.strict_congest = false;
+  // check must not abort it. Reliable transport frames need the relaxed
+  // budget too.
+  sched.strict_congest = false;
   // The transport's per-link state machine is serial; parallel execution
   // keeps its determinism contract only for raw-scheduler runs.
   if (reliable) sched.threads = 1;
@@ -524,7 +517,7 @@ void run_bounded_kernel(const RoundedSubstrate& substrate, Weight radius,
   for (VertexId v = 0; v < n; ++v)
     programs.push_back(std::make_unique<BoundedProgram>(
         v, radius, substrate.min_incident_weight[static_cast<size_t>(v)],
-        batched, reliable, result.table,
+        reliable, result.table,
         std::move(pending0[static_cast<size_t>(v)])));
   congest::Scheduler scheduler(substrate.network, std::move(programs), sched);
   result.cost = scheduler.run();
@@ -541,14 +534,8 @@ std::vector<std::vector<VertexId>> seed_cold_sources(
   std::vector<std::vector<VertexId>> pending0(static_cast<size_t>(n));
   for (VertexId s : sources) {
     LN_REQUIRE(s >= 0 && s < n, "source out of range");
-    SourceTable& table = result.table[static_cast<size_t>(s)];
-    if (table.empty()) {
-      BoundedSourceEntry e;
-      e.source = s;
-      e.dist = 0.0;
-      table.push_back(e);
+    if (seed_self_record(result.table[static_cast<size_t>(s)], s))
       pending0[static_cast<size_t>(s)].push_back(s);
-    }
   }
   return pending0;
 }
@@ -568,7 +555,6 @@ BoundedMultiSourceResult bounded_multi_source_paths(
 BoundedMultiSourceResult bounded_multi_source_paths_reliable(
     const RoundedSubstrate& substrate, std::span<const VertexId> sources,
     Weight radius, congest::SchedulerOptions sched) {
-  sched.legacy_unbatched = true;  // one standard message per announcement
   BoundedMultiSourceResult result;
   auto pending0 =
       seed_cold_sources(sources, substrate.rounded.num_vertices(), result);
@@ -624,25 +610,13 @@ BoundedMultiSourceResult bounded_multi_source_paths_incremental(
       }
   }
   for (VertexId s : sources) {
-    SourceTable& table = result.table[static_cast<size_t>(s)];
-    const auto it = table_find(table, s);
-    if (it == table.end() || it->source != s) {
-      BoundedSourceEntry e;
-      e.source = s;
-      e.dist = 0.0;
-      table.insert(it, e);
-      std::vector<VertexId>& p = pending0[static_cast<size_t>(s)];
-      const auto pit = std::lower_bound(p.begin(), p.end(), s);
-      if (pit == p.end() || *pit != s) p.insert(pit, s);
-    }
+    if (!seed_self_record(result.table[static_cast<size_t>(s)], s)) continue;
+    std::vector<VertexId>& p = pending0[static_cast<size_t>(s)];
+    p.insert(std::lower_bound(p.begin(), p.end(), s), s);
   }
 
   run_bounded_kernel(substrate, radius, std::move(pending0), sched, result);
-  if (pruned > 0) {
-    result.cost.rounds += 1;
-    result.cost.messages += pruned;
-    result.cost.words += pruned;
-  }
+  charge_tombstones(result.cost, pruned);
   return result;
 }
 
@@ -653,8 +627,6 @@ WaveExploreResult bounded_multi_source_paths_wave(
   const int n = h.num_vertices();
   const int K = static_cast<int>(scales.size());
   LN_REQUIRE(K >= 1 && K <= 32, "a wave fuses 1..32 scales");
-  LN_REQUIRE(!sched.legacy_unbatched,
-             "concurrent scales require the batched encoding");
   for (int c = 1; c < K; ++c)
     LN_REQUIRE(scales[static_cast<size_t>(c - 1)].radius <=
                    scales[static_cast<size_t>(c)].radius,
@@ -729,12 +701,7 @@ WaveExploreResult bounded_multi_source_paths_wave(
   for (VertexId v = 0; v < n; ++v) {
     const std::uint8_t ch = result.channel_of[static_cast<size_t>(v)];
     if (ch == kNoChannel || seen_prev[static_cast<size_t>(v)]) continue;
-    SourceTable& table = state.table[ch][static_cast<size_t>(v)];
-    const auto it = table_find(table, v);
-    BoundedSourceEntry e;
-    e.source = v;
-    e.dist = 0.0;
-    table.insert(it, e);
+    seed_self_record(state.table[ch][static_cast<size_t>(v)], v);
     state.explored_radius[static_cast<size_t>(v)] = Weight{-1.0};
   }
 
@@ -761,23 +728,10 @@ WaveExploreResult bounded_multi_source_paths_wave(
           channel_radius[static_cast<size_t>(ch)];
   }
 
-  if (pruned > 0) {
-    result.cost.rounds += 1;
-    result.cost.messages += pruned;
-    result.cost.words += pruned;
-  }
+  charge_tombstones(result.cost, pruned);
   result.pruned_records = pruned;
   result.state = std::move(state);
   return result;
-}
-
-BoundedMultiSourceResult bounded_multi_source_paths_hopset(
-    const WeightedGraph& g, const Hopset& hopset,
-    std::span<const VertexId> sources, Weight radius, double epsilon,
-    int hop_diameter) {
-  const WeightedGraph h = round_weights_up(g, epsilon);
-  return bounded_multi_source_paths_hopset_on(h, hopset, sources, radius,
-                                              hop_diameter);
 }
 
 namespace {
@@ -821,15 +775,8 @@ BoundedMultiSourceResult run_hopset_bf(const WeightedGraph& h,
   std::vector<std::pair<VertexId, VertexId>> dirty;  // (vertex, source)
   for (VertexId s : sources) {
     LN_REQUIRE(s >= 0 && s < h.num_vertices(), "source out of range");
-    BoundedSourceEntry e;
-    e.source = s;
-    e.dist = 0.0;
-    SourceTable& table = result.table[static_cast<size_t>(s)];
-    const auto it = table_find(table, s);
-    if (it == table.end() || it->source != s) {
-      table.insert(it, e);
+    if (seed_self_record(result.table[static_cast<size_t>(s)], s))
       dirty.emplace_back(s, s);
-    }
   }
   std::sort(dirty.begin(), dirty.end());
 
@@ -920,7 +867,7 @@ BoundedMultiSourceResult run_hopset_bf(const WeightedGraph& h,
 
 }  // namespace
 
-BoundedMultiSourceResult bounded_multi_source_paths_hopset_on(
+BoundedMultiSourceResult bounded_multi_source_paths_hopset(
     const WeightedGraph& h, const Hopset& hopset,
     std::span<const VertexId> sources, Weight radius, int hop_diameter) {
   return run_hopset_bf(h, hopset, sources, {}, radius, hop_diameter);
@@ -936,6 +883,15 @@ BoundedMultiSourceResult bounded_multi_source_paths_hopset_wave(
                        hop_diameter);
 }
 
+const BoundedSourceEntry* find_source_entry(
+    const std::vector<std::vector<BoundedSourceEntry>>& table, VertexId v,
+    VertexId source) {
+  const SourceTable& entries = table[static_cast<size_t>(v)];
+  const auto it = table_find(entries, source);
+  if (it == entries.end() || it->source != source) return nullptr;
+  return &*it;
+}
+
 std::vector<EdgeId> extract_path(const BoundedMultiSourceResult& result,
                                  const Hopset* hopset, VertexId target,
                                  VertexId source) {
@@ -943,7 +899,7 @@ std::vector<EdgeId> extract_path(const BoundedMultiSourceResult& result,
   VertexId cur = target;
   size_t guard = 0;
   while (cur != source) {
-    const BoundedSourceEntry* e = find_source_entry(result, cur, source);
+    const BoundedSourceEntry* e = find_source_entry(result.table, cur, source);
     if (e == nullptr) return {};
     if (e->hopset_edge >= 0) {
       LN_ASSERT_MSG(hopset != nullptr,
@@ -971,7 +927,7 @@ std::vector<EdgeId> extract_path(const BoundedMultiSourceResult& result,
   return path;
 }
 
-bool collect_path_edges_in(
+bool collect_path_edges(
     const std::vector<std::vector<BoundedSourceEntry>>& table,
     const Hopset* hopset, VertexId target, VertexId source,
     std::vector<std::uint32_t>& stamp, std::uint32_t epoch,
@@ -983,7 +939,7 @@ bool collect_path_edges_in(
     // `out` in an earlier extraction this epoch; the union is complete.
     if (stamp[static_cast<size_t>(cur)] == epoch) return true;
     stamp[static_cast<size_t>(cur)] = epoch;
-    const BoundedSourceEntry* e = find_source_entry_in(table, cur, source);
+    const BoundedSourceEntry* e = find_source_entry(table, cur, source);
     if (e == nullptr) return false;
     if (e->hopset_edge >= 0) {
       LN_ASSERT_MSG(hopset != nullptr,
@@ -1002,14 +958,6 @@ bool collect_path_edges_in(
                   "path extraction did not terminate");
   }
   return true;
-}
-
-bool collect_path_edges(const BoundedMultiSourceResult& result,
-                        const Hopset* hopset, VertexId target,
-                        VertexId source, std::vector<std::uint32_t>& stamp,
-                        std::uint32_t epoch, std::vector<EdgeId>& out) {
-  return collect_path_edges_in(result.table, hopset, target, source, stamp,
-                               epoch, out);
 }
 
 }  // namespace lightnet

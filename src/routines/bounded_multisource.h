@@ -12,20 +12,25 @@
 // both memory and rounds — the max_sources_per_vertex field is the per-run
 // certificate of that argument.
 //
-// Two kernel encodings, selected by SchedulerOptions::legacy_unbatched:
-//  - Batched (default): each round a vertex announces ALL sources whose
-//    distance improved, packed as (source, dist) pairs into one multi-word
-//    message per link (NodeContext::send_words_on_link). Accounting stays
-//    honest — CostStats::words counts every packed word and max_edge_load
-//    the ceil(words/kMaxWords) bandwidth multiple — so the batched ledger
-//    states exactly how far the encoding stretches the one-message budget
-//    (strict_congest is force-disabled on this path for that reason).
-//  - Legacy: one source popped per round, one 2-word message per link,
-//    strictly CONGEST-legal; the pre-batching encoding and its accounting.
-// Both encodings converge to the same fixed point, and parent records are
-// canonicalized (ties broken toward the smallest (parent, edge) pair), so
-// distance tables, parents, and extracted paths are bit-identical across
-// encodings and scheduler modes.
+// Two kernel encodings:
+//  - Batched (the cold, incremental and wave entry points): each round a
+//    vertex announces ALL sources whose distance improved, packed as
+//    (source, dist) pairs into one multi-word message per link
+//    (NodeContext::send_words_on_link). Accounting stays honest —
+//    CostStats::words counts every packed word and max_edge_load the
+//    ceil(words/kMaxWords) bandwidth multiple — so the batched ledger states
+//    exactly how far the encoding stretches the one-message budget
+//    (strict_congest is force-disabled for that reason).
+//  - Reliable (_reliable only): one source popped per round, one 2-word
+//    message per link (plus the transport's acks), because the reliable
+//    transport frames single messages.
+// Both encodings converge to the same fixed point: every record holds the
+// bounded (1+ε)-rounded distance and, among the neighbors that realize it,
+// the smallest (parent, edge) pair (see offer_g_edge). Tables, parents and
+// extracted paths are therefore bit-identical across encodings, thread
+// counts, fault-reordered inboxes, warm starts and wave slices; the tests
+// check every one of them against a sequential oracle (one bounded
+// Dijkstra search per source plus that tie-break).
 //
 // The optional hopset mode reproduces the paper's acceleration: delta-list
 // Bellman-Ford over G interleaved with global exchanges of hub estimates
@@ -70,25 +75,20 @@ struct BoundedMultiSourceResult {
   congest::CostStats cost;
 };
 
-// Kernel (message-level) implementation. `sched` pins the scheduler mode
-// and the batched/legacy encoding; tables are identical in every mode.
-BoundedMultiSourceResult bounded_multi_source_paths(
-    const WeightedGraph& g, std::span<const VertexId> sources, Weight radius,
-    double epsilon, congest::SchedulerOptions sched = {});
-
-// Substrate-reusing variant (distances w.r.t. substrate.rounded): the
-// doubling pipeline hoists one substrate over all O(log W) scales.
+// Kernel (message-level) implementation, distances w.r.t. substrate.rounded
+// (the doubling pipeline hoists one substrate over all O(log W) scales).
+// `sched` pins the scheduler mode; tables are identical in every mode.
 BoundedMultiSourceResult bounded_multi_source_paths(
     const RoundedSubstrate& substrate, std::span<const VertexId> sources,
     Weight radius, congest::SchedulerOptions sched = {});
 
-// Retransmit-aware variant for faulty networks: the legacy one-source-per-
-// round encoding with every announcement shipped through the reliable
-// transport (congest/reliable.h). Because relaxation keeps the canonical
-// fixed point regardless of offer arrival order, the tables are
-// bit-identical to a fault-free run whenever every node stays reachable —
-// drops only cost retransmissions, which the ledger reports. Forces
-// legacy_unbatched = true and strict_congest = false.
+// Retransmit-aware variant for faulty networks: the one-source-per-round
+// encoding with every announcement shipped through the reliable transport
+// (congest/reliable.h). Because relaxation keeps the canonical fixed point
+// regardless of offer arrival order, the tables are bit-identical to a
+// fault-free run whenever every node stays reachable — drops only cost
+// retransmissions, which the ledger reports. Forces strict_congest = false
+// and threads = 1 (the transport's per-link state machine is serial).
 BoundedMultiSourceResult bounded_multi_source_paths_reliable(
     const RoundedSubstrate& substrate, std::span<const VertexId> sources,
     Weight radius, congest::SchedulerOptions sched = {});
@@ -167,22 +167,16 @@ struct WaveExploreResult {
 
 // Runs one wave. `scales` must be ordered by ascending radius (consecutive
 // pipeline scales); at most 32 per wave. `prev` is the state returned by
-// the previous wave (moved), or an empty state for a cold start. Requires
-// the batched encoding (sched.legacy_unbatched must be false).
+// the previous wave (moved), or an empty state for a cold start.
 WaveExploreResult bounded_multi_source_paths_wave(
     const RoundedSubstrate& substrate, std::span<const WaveScale> scales,
     WaveExploreState prev, congest::SchedulerOptions sched = {});
 
-// Hopset-accelerated implementation: at most `hopset.hop_limit * 3`
-// delta-list Bellman-Ford iterations, hub estimates exchanged globally each
-// iteration (Lemma 1 charge). Produces the same table interface.
+// Hopset-accelerated implementation over `h`, which must already carry the
+// (1+ε)-rounded weights: at most `hopset.hop_limit * 3` delta-list
+// Bellman-Ford iterations, hub estimates exchanged globally each iteration
+// (Lemma 1 charge). Produces the same table interface.
 BoundedMultiSourceResult bounded_multi_source_paths_hopset(
-    const WeightedGraph& g, const Hopset& hopset,
-    std::span<const VertexId> sources, Weight radius, double epsilon,
-    int hop_diameter);
-
-// Pre-rounded variant: `h` must already carry the (1+ε)-rounded weights.
-BoundedMultiSourceResult bounded_multi_source_paths_hopset_on(
     const WeightedGraph& h, const Hopset& hopset,
     std::span<const VertexId> sources, Weight radius, int hop_diameter);
 
@@ -197,12 +191,9 @@ BoundedMultiSourceResult bounded_multi_source_paths_hopset_wave(
     std::span<const Weight> radius_by_source, int hop_diameter);
 
 // Binary search over table[v] (sorted by source); nullptr if the source's
-// ball does not reach v.
+// ball does not reach v. `table` is a result's table or one channel of a
+// wave state.
 const BoundedSourceEntry* find_source_entry(
-    const BoundedMultiSourceResult& result, VertexId v, VertexId source);
-
-// Raw-table variant for wave-partitioned state (table indexed by vertex).
-const BoundedSourceEntry* find_source_entry_in(
     const std::vector<std::vector<BoundedSourceEntry>>& table, VertexId v,
     VertexId source);
 
@@ -219,14 +210,9 @@ std::vector<EdgeId> extract_path(const BoundedMultiSourceResult& result,
 // with the same (source, stamp/epoch) pair — shared prefixes are walked
 // once per source. `stamp` must be n-sized and `epoch` strictly increasing
 // across (scale, source) pairs. Returns false if target is not reached.
-bool collect_path_edges(const BoundedMultiSourceResult& result,
-                        const Hopset* hopset, VertexId target,
-                        VertexId source, std::vector<std::uint32_t>& stamp,
-                        std::uint32_t epoch, std::vector<EdgeId>& out);
-
-// Raw-table variant of collect_path_edges: walks within one channel's table
-// of a wave result (all of a source's records live in its owning channel).
-bool collect_path_edges_in(
+// `table` is a result's table or, for a wave, the source's owning channel
+// (all of a source's records live there).
+bool collect_path_edges(
     const std::vector<std::vector<BoundedSourceEntry>>& table,
     const Hopset* hopset, VertexId target, VertexId source,
     std::vector<std::uint32_t>& stamp, std::uint32_t epoch,

@@ -4,41 +4,34 @@
 
 #include "graph/generators.h"
 #include "graph/shortest_paths.h"
+#include "routines/approx_spt.h"
+#include "tests/exploration_oracle.h"
 #include "tests/test_util.h"
 
 namespace lightnet {
 namespace {
 
 TEST(BoundedMultiSource, TablesMatchBoundedDijkstra) {
-  const WeightedGraph g = grid(6, 6, /*perturb=*/true, 3);
+  // Bitwise against the sequential oracle: bounded Dijkstra distances plus
+  // the canonical smallest-(parent, edge) tie-break.
+  const RoundedSubstrate substrate(grid(6, 6, /*perturb=*/true, 3), 0.0);
   const std::vector<VertexId> sources{0, 17, 35};
   const Weight radius = 3.0;
   const BoundedMultiSourceResult r =
-      bounded_multi_source_paths(g, sources, radius, 0.0);
-  for (VertexId s : sources) {
-    const ShortestPathTree ref = dijkstra_bounded(g, s, radius);
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      const BoundedSourceEntry* entry = nullptr;
-      for (const BoundedSourceEntry& e :
-           r.table[static_cast<size_t>(v)])
-        if (e.source == s) entry = &e;
-      if (ref.dist[static_cast<size_t>(v)] == kInfiniteDistance) {
-        EXPECT_EQ(entry, nullptr) << "source " << s << " vertex " << v;
-      } else {
-        ASSERT_NE(entry, nullptr) << "source " << s << " vertex " << v;
-        EXPECT_NEAR(entry->dist, ref.dist[static_cast<size_t>(v)], 1e-9);
-      }
-    }
-  }
+      bounded_multi_source_paths(substrate, sources, radius);
+  testing::expect_matches_oracle(r, substrate.rounded, sources, radius,
+                                 "grid6x6");
+  // Three sources' records fit one batched message per link.
   EXPECT_EQ(r.cost.max_edge_load, 1u);
 }
 
 TEST(BoundedMultiSource, PathExtractionRealizesDistance) {
   const WeightedGraph g = erdos_renyi(40, 0.15, WeightLaw::kUniform, 9.0, 4);
+  const RoundedSubstrate substrate(g, 0.0);
   const std::vector<VertexId> sources{0, 20};
   const Weight radius = 12.0;
   const BoundedMultiSourceResult r =
-      bounded_multi_source_paths(g, sources, radius, 0.0);
+      bounded_multi_source_paths(substrate, sources, radius);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     for (const BoundedSourceEntry& e : r.table[static_cast<size_t>(v)]) {
       const std::vector<EdgeId> path =
@@ -57,7 +50,7 @@ TEST(BoundedMultiSource, EpsilonRoundingStaysWithinFactor) {
   const std::vector<VertexId> sources{0};
   const double eps = 0.125;
   const BoundedMultiSourceResult r =
-      bounded_multi_source_paths(g, sources, 8.0, eps);
+      bounded_multi_source_paths(RoundedSubstrate(g, eps), sources, 8.0);
   const ShortestPathTree ref = dijkstra(g, 0);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     for (const BoundedSourceEntry& e : r.table[static_cast<size_t>(v)]) {
@@ -74,27 +67,31 @@ TEST(BoundedMultiSource, PackingCertificateOnGeometric) {
   std::vector<VertexId> sources;
   for (VertexId v = 0; v < 80; v += 16) sources.push_back(v);
   const BoundedMultiSourceResult r =
-      bounded_multi_source_paths(geo.graph, sources, 0.3, 0.0);
+      bounded_multi_source_paths(RoundedSubstrate(geo.graph, 0.0), sources,
+                                 0.3);
   EXPECT_LE(r.max_sources_per_vertex, sources.size());
   EXPECT_GE(r.max_sources_per_vertex, 1u);
 }
 
-TEST(BoundedMultiSource, HopsetModeMatchesPlainMode) {
+TEST(BoundedMultiSource, HopsetDistancesMatchOracle) {
+  // Hopset records may have hopset parents, so only sources and distances
+  // are compared with the oracle.
   const WeightedGraph g = path_graph(40, WeightLaw::kUnit, 1.0, 1);
   const std::vector<VertexId> sources{0, 39};
   const Weight radius = 12.0;
   const HopsetResult hr = build_hopset(g, 6, 7);
-  const BoundedMultiSourceResult plain =
-      bounded_multi_source_paths(g, sources, radius, 0.0);
+  const BoundedMultiSourceResult oracle =
+      testing::oracle_explore(g, sources, radius);
   const BoundedMultiSourceResult fast = bounded_multi_source_paths_hopset(
-      g, hr.hopset, sources, radius, 0.0, g.hop_diameter());
+      g, hr.hopset, sources, radius, g.hop_diameter());
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    ASSERT_EQ(plain.table[static_cast<size_t>(v)].size(),
-              fast.table[static_cast<size_t>(v)].size())
-        << "vertex " << v;
-    for (size_t j = 0; j < plain.table[static_cast<size_t>(v)].size(); ++j)
-      EXPECT_NEAR(plain.table[static_cast<size_t>(v)][j].dist,
-                  fast.table[static_cast<size_t>(v)][j].dist, 1e-9);
+    const auto& want = oracle.table[static_cast<size_t>(v)];
+    const auto& got = fast.table[static_cast<size_t>(v)];
+    ASSERT_EQ(want.size(), got.size()) << "vertex " << v;
+    for (size_t j = 0; j < want.size(); ++j) {
+      EXPECT_EQ(want[j].source, got[j].source) << "vertex " << v;
+      EXPECT_NEAR(want[j].dist, got[j].dist, 1e-9) << "vertex " << v;
+    }
   }
 }
 
@@ -103,7 +100,7 @@ TEST(BoundedMultiSource, HopsetPathsExpandToRealEdges) {
   const std::vector<VertexId> sources{0};
   const HopsetResult hr = build_hopset(g, 6, 8);
   const BoundedMultiSourceResult r = bounded_multi_source_paths_hopset(
-      g, hr.hopset, sources, 20.0, 0.0, g.hop_diameter());
+      g, hr.hopset, sources, 20.0, g.hop_diameter());
   for (VertexId v = 1; v < 40; ++v) {
     for (const BoundedSourceEntry& e : r.table[static_cast<size_t>(v)]) {
       const std::vector<EdgeId> path = extract_path(r, &hr.hopset, v, 0);
@@ -124,8 +121,8 @@ TEST(BoundedMultiSource, HopsetPathsExpandToRealEdges) {
 
 TEST(BoundedMultiSource, EmptySourcesYieldEmptyTables) {
   const WeightedGraph g = path_graph(5, WeightLaw::kUnit, 1.0, 1);
-  const BoundedMultiSourceResult r =
-      bounded_multi_source_paths(g, std::vector<VertexId>{}, 2.0, 0.0);
+  const BoundedMultiSourceResult r = bounded_multi_source_paths(
+      RoundedSubstrate(g, 0.0), std::vector<VertexId>{}, 2.0);
   for (const auto& table : r.table) EXPECT_TRUE(table.empty());
 }
 

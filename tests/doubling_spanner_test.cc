@@ -18,8 +18,9 @@ TEST_P(DoublingEpsilonTest, StretchOnGeometricGraphs) {
   const GeometricGraph geo = random_geometric(40, 0.35, 3);
   DoublingSpannerParams params;
   params.epsilon = eps;
-  params.seed = 11;
-  const DoublingSpannerResult r = build_doubling_spanner(geo.graph, params);
+  const api::RunContext ctx = api::RunContext{}.with_seed(11);
+  const DoublingSpannerResult r =
+      build_doubling_spanner(geo.graph, params, ctx);
   ASSERT_FALSE(r.spanner.empty());
   EXPECT_TRUE(geo.graph.edge_subgraph(r.spanner).is_connected());
   const double stretch = max_edge_stretch(geo.graph, r.spanner);
@@ -34,7 +35,7 @@ TEST(DoublingSpanner, TightEpsilonNearOptimalStretch) {
   const GeometricGraph geo = random_geometric(32, 0.4, 4);
   DoublingSpannerParams params;
   params.epsilon = 0.06;
-  const DoublingSpannerResult r = build_doubling_spanner(geo.graph, params);
+  const DoublingSpannerResult r = build_doubling_spanner(geo.graph, params, {});
   EXPECT_LE(max_edge_stretch(geo.graph, r.spanner), 1.0 + 30.0 * 0.06);
 }
 
@@ -42,7 +43,7 @@ TEST(DoublingSpanner, LightnessIsModestOnDoublingInputs) {
   const GeometricGraph geo = random_geometric(48, 0.35, 5);
   DoublingSpannerParams params;
   params.epsilon = 0.125;
-  const DoublingSpannerResult r = build_doubling_spanner(geo.graph, params);
+  const DoublingSpannerResult r = build_doubling_spanner(geo.graph, params, {});
   // ε^{-O(ddim)}·log n with ddim ≈ 2: generous numeric cap, far below the
   // dense graph's total lightness.
   const double light = lightness(geo.graph, r.spanner);
@@ -54,7 +55,7 @@ TEST(DoublingSpanner, ScaleDiagnosticsAreSane) {
   const GeometricGraph geo = random_geometric(36, 0.4, 6);
   DoublingSpannerParams params;
   params.epsilon = 0.25;
-  const DoublingSpannerResult r = build_doubling_spanner(geo.graph, params);
+  const DoublingSpannerResult r = build_doubling_spanner(geo.graph, params, {});
   ASSERT_FALSE(r.scales.empty());
   for (size_t i = 0; i + 1 < r.scales.size(); ++i) {
     EXPECT_LT(r.scales[i].scale, r.scales[i + 1].scale);
@@ -73,7 +74,7 @@ TEST(DoublingSpanner, SparsityPerVertexBounded) {
   const GeometricGraph geo = random_geometric(48, 0.35, 7);
   DoublingSpannerParams params;
   params.epsilon = 0.25;
-  const DoublingSpannerResult r = build_doubling_spanner(geo.graph, params);
+  const DoublingSpannerResult r = build_doubling_spanner(geo.graph, params, {});
   // n·ε^{-O(ddim)}·log n total edges; per-vertex average stays small.
   EXPECT_LE(r.spanner.size(),
             static_cast<size_t>(48.0 * 64.0 * std::log2(48.0)));
@@ -83,11 +84,11 @@ TEST(DoublingSpanner, HopsetModePreservesStretch) {
   const GeometricGraph geo = random_geometric(28, 0.4, 8);
   DoublingSpannerParams plain;
   plain.epsilon = 0.125;
-  plain.seed = 3;
+  const api::RunContext ctx = api::RunContext{}.with_seed(3);
   DoublingSpannerParams fast = plain;
   fast.use_hopset = true;
-  const DoublingSpannerResult a = build_doubling_spanner(geo.graph, plain);
-  const DoublingSpannerResult b = build_doubling_spanner(geo.graph, fast);
+  const DoublingSpannerResult a = build_doubling_spanner(geo.graph, plain, ctx);
+  const DoublingSpannerResult b = build_doubling_spanner(geo.graph, fast, ctx);
   EXPECT_LE(max_edge_stretch(geo.graph, a.spanner), 1.0 + 30.0 * 0.125);
   EXPECT_LE(max_edge_stretch(geo.graph, b.spanner), 1.0 + 30.0 * 0.125);
 }
@@ -97,7 +98,7 @@ TEST(DoublingSpanner, WorksOnGridsToo) {
   const WeightedGraph g = grid(6, 6, /*perturb=*/true, 9);
   DoublingSpannerParams params;
   params.epsilon = 0.125;
-  const DoublingSpannerResult r = build_doubling_spanner(g, params);
+  const DoublingSpannerResult r = build_doubling_spanner(g, params, {});
   EXPECT_TRUE(g.edge_subgraph(r.spanner).is_connected());
   EXPECT_LE(max_edge_stretch(g, r.spanner), 1.0 + 30.0 * 0.125 + 1e-6);
 }
@@ -106,9 +107,11 @@ TEST(DoublingSpanner, DeterministicPerSeed) {
   const GeometricGraph geo = random_geometric(24, 0.4, 10);
   DoublingSpannerParams params;
   params.epsilon = 0.25;
-  params.seed = 77;
-  const DoublingSpannerResult a = build_doubling_spanner(geo.graph, params);
-  const DoublingSpannerResult b = build_doubling_spanner(geo.graph, params);
+  const api::RunContext ctx = api::RunContext{}.with_seed(77);
+  const DoublingSpannerResult a =
+      build_doubling_spanner(geo.graph, params, ctx);
+  const DoublingSpannerResult b =
+      build_doubling_spanner(geo.graph, params, ctx);
   EXPECT_EQ(a.spanner, b.spanner);
 }
 
@@ -116,9 +119,9 @@ TEST(DoublingSpanner, RejectsBadEpsilon) {
   const WeightedGraph g = path_graph(4, WeightLaw::kUnit, 1.0, 1);
   DoublingSpannerParams params;
   params.epsilon = 0.0;
-  EXPECT_THROW(build_doubling_spanner(g, params), std::invalid_argument);
+  EXPECT_THROW(build_doubling_spanner(g, params, {}), std::invalid_argument);
   params.epsilon = 1.0;
-  EXPECT_THROW(build_doubling_spanner(g, params), std::invalid_argument);
+  EXPECT_THROW(build_doubling_spanner(g, params, {}), std::invalid_argument);
 }
 
 }  // namespace

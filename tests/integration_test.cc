@@ -38,7 +38,7 @@ TEST(Integration, LightSpannerWithinTheoremBandOfGreedy) {
   LightSpannerParams params;
   params.k = 2;
   params.epsilon = 0.25;
-  const LightSpannerResult ours = build_light_spanner(g, params);
+  const LightSpannerResult ours = build_light_spanner(g, params, {});
   const auto greedy = greedy_spanner(g, 3.0 * 1.25);
   // The greedy is existentially optimal (lightness ~O(n^{1/k}) with tiny
   // constants, empirically near 1); Theorem 2 pays O(k·n^{1/k}). The gap
@@ -66,7 +66,7 @@ TEST(Integration, BaswanaSenAloneIsNotLight) {
   LightSpannerParams params;
   params.k = 2;
   params.epsilon = 0.25;
-  const double ours = lightness(g, build_light_spanner(g, params).spanner);
+  const double ours = lightness(g, build_light_spanner(g, params, {}).spanner);
   // Theorem 2's bound is O(k·n^{1/k}) ≈ 20; Baswana-Sen keeps heavy chords
   // and exceeds it on this family.
   EXPECT_GT(bs_light, ours);
@@ -80,7 +80,7 @@ TEST(Integration, DistributedNetMatchesGreedyScale) {
   NetParams params;
   params.radius = radius;
   params.delta = 0.0;
-  const NetResult ours = build_net(g, params);
+  const NetResult ours = build_net(g, params, {});
   const auto greedy = greedy_net(g, radius);
   EXPECT_LE(ours.net.size(), greedy.size() * 4 + 4);
   EXPECT_GE(ours.net.size() * 4 + 4, greedy.size());
@@ -103,9 +103,9 @@ TEST(Integration, EndToEndDeterminism) {
       erdos_renyi(48, 0.15, WeightLaw::kHeavyTail, 100.0, 8);
   LightSpannerParams params;
   params.k = 3;
-  params.seed = 999;
-  const LightSpannerResult a = build_light_spanner(g, params);
-  const LightSpannerResult b = build_light_spanner(g, params);
+  const api::RunContext ctx = api::RunContext{}.with_seed(999);
+  const LightSpannerResult a = build_light_spanner(g, params, ctx);
+  const LightSpannerResult b = build_light_spanner(g, params, ctx);
   EXPECT_EQ(a.spanner, b.spanner);
   EXPECT_EQ(a.ledger.total().rounds, b.ledger.total().rounds);
   EXPECT_EQ(a.ledger.total().messages, b.ledger.total().messages);
@@ -119,7 +119,7 @@ TEST(Integration, RoundScalingIsSubLinearOnLargerInstance) {
   LightSpannerParams params;
   params.k = 2;
   params.epsilon = 0.25;
-  const LightSpannerResult r = build_light_spanner(g, params);
+  const LightSpannerResult r = build_light_spanner(g, params, {});
   const double n = 128.0;
   // Generous constant: Õ(n^{0.6}) with polylog slack at this size.
   EXPECT_LT(static_cast<double>(r.ledger.total().rounds),
@@ -134,7 +134,7 @@ TEST(Integration, AllConstructionsShareTheSameMst) {
   const SltResult slt = build_slt(g, 0, 0.5);
   LightSpannerParams params;
   params.k = 2;
-  const LightSpannerResult spanner = build_light_spanner(g, params);
+  const LightSpannerResult spanner = build_light_spanner(g, params, {});
   auto slt_edges = slt.tree_edges;
   std::sort(slt_edges.begin(), slt_edges.end());
   EXPECT_EQ(slt_edges, spanner.spanner);

@@ -21,8 +21,8 @@ TEST_P(LightSpannerKTest, StretchGuaranteeOnZoo) {
     LightSpannerParams params;
     params.k = k;
     params.epsilon = 0.25;
-    params.seed = seed;
-    const LightSpannerResult r = build_light_spanner(g, params);
+    const api::RunContext ctx = api::RunContext{}.with_seed(seed);
+    const LightSpannerResult r = build_light_spanner(g, params, ctx);
     const double stretch = max_edge_stretch(g, r.spanner);
     // Theorem 2: (2k-1)(1+O(ε)); the proof's chain constant is small.
     EXPECT_LE(stretch, (2.0 * k - 1.0) * (1.0 + 6.0 * params.epsilon) + 1e-6)
@@ -39,8 +39,8 @@ TEST(LightSpanner, LightnessBoundOnMedium) {
     LightSpannerParams params;
     params.k = 2;
     params.epsilon = 0.25;
-    params.seed = 7;
-    const LightSpannerResult r = build_light_spanner(g, params);
+    const api::RunContext ctx = api::RunContext{}.with_seed(7);
+    const LightSpannerResult r = build_light_spanner(g, params, ctx);
     const double light = lightness(g, r.spanner);
     // O(k·n^{1/k}) with a generous constant.
     const double bound =
@@ -56,8 +56,8 @@ TEST(LightSpanner, SizeBoundOnMedium) {
     LightSpannerParams params;
     params.k = 2;
     params.epsilon = 0.25;
-    params.seed = 8;
-    const LightSpannerResult r = build_light_spanner(g, params);
+    const api::RunContext ctx = api::RunContext{}.with_seed(8);
+    const LightSpannerResult r = build_light_spanner(g, params, ctx);
     const double bound =
         20.0 * params.k *
         std::pow(static_cast<double>(g.num_vertices()),
@@ -70,7 +70,7 @@ TEST(LightSpanner, ContainsTheMst) {
   const WeightedGraph g = erdos_renyi(48, 0.15, WeightLaw::kUniform, 40.0, 3);
   LightSpannerParams params;
   params.k = 3;
-  const LightSpannerResult r = build_light_spanner(g, params);
+  const LightSpannerResult r = build_light_spanner(g, params, {});
   const auto mst = kruskal_mst(g);
   for (EdgeId id : mst)
     EXPECT_TRUE(std::binary_search(r.spanner.begin(), r.spanner.end(), id))
@@ -81,7 +81,7 @@ TEST(LightSpanner, SpannerIsConnected) {
   for (const auto& [name, g] : testing::small_graph_zoo()) {
     LightSpannerParams params;
     params.k = 2;
-    const LightSpannerResult r = build_light_spanner(g, params);
+    const LightSpannerResult r = build_light_spanner(g, params, {});
     EXPECT_TRUE(g.edge_subgraph(r.spanner).is_connected()) << name;
   }
 }
@@ -92,7 +92,7 @@ TEST(LightSpanner, Case1ClusterCountRespectsBound) {
   LightSpannerParams params;
   params.k = 2;
   params.epsilon = 0.25;
-  const LightSpannerResult r = build_light_spanner(g, params);
+  const LightSpannerResult r = build_light_spanner(g, params, {});
   const double cap =
       std::pow(64.0, 2.0 / 5.0) / params.epsilon + 2.0;  // n^{k/(2k+1)}/ε
   for (const BucketDiagnostics& b : r.buckets) {
@@ -107,7 +107,7 @@ TEST(LightSpanner, Case2IntervalHopsRespectBound) {
   LightSpannerParams params;
   params.k = 2;
   params.epsilon = 0.25;
-  const LightSpannerResult r = build_light_spanner(g, params);
+  const LightSpannerResult r = build_light_spanner(g, params, {});
   for (const BucketDiagnostics& b : r.buckets) {
     if (!b.case1 && b.max_interval_hops > 0) {
       const double gap = std::ceil(params.epsilon * 64.0 /
@@ -123,9 +123,9 @@ TEST(LightSpanner, DeterministicPerSeed) {
   const WeightedGraph g = erdos_renyi(40, 0.15, WeightLaw::kUniform, 30.0, 6);
   LightSpannerParams params;
   params.k = 2;
-  params.seed = 123;
-  const LightSpannerResult a = build_light_spanner(g, params);
-  const LightSpannerResult b = build_light_spanner(g, params);
+  const api::RunContext ctx = api::RunContext{}.with_seed(123);
+  const LightSpannerResult a = build_light_spanner(g, params, ctx);
+  const LightSpannerResult b = build_light_spanner(g, params, ctx);
   EXPECT_EQ(a.spanner, b.spanner);
 }
 
@@ -134,7 +134,7 @@ TEST(LightSpanner, HeavyTailWeightsExerciseManyBuckets) {
       erdos_renyi(64, 0.15, WeightLaw::kHeavyTail, 1000.0, 7);
   LightSpannerParams params;
   params.k = 2;
-  const LightSpannerResult r = build_light_spanner(g, params);
+  const LightSpannerResult r = build_light_spanner(g, params, {});
   EXPECT_GE(r.buckets.size(), 2u);
   const double stretch = max_edge_stretch(g, r.spanner);
   EXPECT_LE(stretch, 3.0 * (1.0 + 6.0 * params.epsilon) + 1e-6);
@@ -144,7 +144,7 @@ TEST(LightSpanner, TreeInputReturnsJustTheTree) {
   const WeightedGraph g = random_tree(25, WeightLaw::kUniform, 9.0, 8);
   LightSpannerParams params;
   params.k = 2;
-  const LightSpannerResult r = build_light_spanner(g, params);
+  const LightSpannerResult r = build_light_spanner(g, params, {});
   EXPECT_EQ(r.spanner.size(), 24u);
   EXPECT_NEAR(lightness(g, r.spanner), 1.0, 1e-9);
 }
@@ -155,7 +155,7 @@ TEST(LightSpanner, KOneStillWorks) {
   LightSpannerParams params;
   params.k = 1;
   params.epsilon = 0.1;
-  const LightSpannerResult r = build_light_spanner(g, params);
+  const LightSpannerResult r = build_light_spanner(g, params, {});
   EXPECT_LE(max_edge_stretch(g, r.spanner), 1.0 + 6.0 * 0.1 + 1e-6);
 }
 
@@ -164,7 +164,7 @@ TEST(LightSpanner, LedgerHasKernelPhases) {
       erdos_renyi(48, 0.15, WeightLaw::kHeavyTail, 200.0, 10);
   LightSpannerParams params;
   params.k = 2;
-  const LightSpannerResult r = build_light_spanner(g, params);
+  const LightSpannerResult r = build_light_spanner(g, params, {});
   bool saw_aggregate = false, saw_bfs = false, saw_mst = false;
   for (const auto& [phase, cost] : r.ledger.phases()) {
     if (phase.find("en-aggregate") != std::string::npos) saw_aggregate = true;
@@ -181,10 +181,10 @@ TEST(LightSpanner, RejectsBadParameters) {
   const WeightedGraph g = path_graph(4, WeightLaw::kUnit, 1.0, 1);
   LightSpannerParams params;
   params.k = 0;
-  EXPECT_THROW(build_light_spanner(g, params), std::invalid_argument);
+  EXPECT_THROW(build_light_spanner(g, params, {}), std::invalid_argument);
   params.k = 2;
   params.epsilon = 0.0;
-  EXPECT_THROW(build_light_spanner(g, params), std::invalid_argument);
+  EXPECT_THROW(build_light_spanner(g, params, {}), std::invalid_argument);
 }
 
 }  // namespace

@@ -12,7 +12,8 @@ namespace {
 
 TEST(MstEstimator, RatioWithinTheoremSevenBand) {
   for (const auto& [name, g] : testing::small_graph_zoo()) {
-    const MstEstimateResult r = estimate_mst_weight(g, 0.5, 3);
+    const MstEstimateResult r =
+        estimate_mst_weight(g, 0.5, api::RunContext{}.with_seed(3));
     // Theorem 7: L ≤ Ψ ≤ O(α·log n)·L.
     EXPECT_GE(r.ratio, 1.0 - 1e-9) << name;
     const double n = static_cast<double>(g.num_vertices());
@@ -22,7 +23,8 @@ TEST(MstEstimator, RatioWithinTheoremSevenBand) {
 
 TEST(MstEstimator, ScalesAreGeometric) {
   const WeightedGraph g = grid(5, 5, /*perturb=*/true, 4);
-  const MstEstimateResult r = estimate_mst_weight(g, 0.5, 5);
+  const MstEstimateResult r =
+      estimate_mst_weight(g, 0.5, api::RunContext{}.with_seed(5));
   ASSERT_GE(r.scales.size(), 2u);
   for (size_t i = 0; i + 1 < r.scales.size(); ++i) {
     EXPECT_NEAR(r.scales[i + 1].scale / r.scales[i].scale, 2.0, 1e-9);
@@ -35,14 +37,16 @@ TEST(MstEstimator, ScalesAreGeometric) {
 
 TEST(MstEstimator, ExactValueMatchesKruskal) {
   const WeightedGraph g = erdos_renyi(24, 0.25, WeightLaw::kUniform, 9.0, 6);
-  const MstEstimateResult r = estimate_mst_weight(g, 0.25, 7);
+  const MstEstimateResult r =
+      estimate_mst_weight(g, 0.25, api::RunContext{}.with_seed(7));
   EXPECT_GT(r.exact, 0.0);
   EXPECT_GE(r.psi, r.exact - 1e-9);
 }
 
 TEST(MstEstimator, WorksOnLowerBoundFamily) {
   const WeightedGraph g = lower_bound_family(4, 4, 8.0, 8);
-  const MstEstimateResult r = estimate_mst_weight(g, 0.5, 9);
+  const MstEstimateResult r =
+      estimate_mst_weight(g, 0.5, api::RunContext{}.with_seed(9));
   EXPECT_GE(r.ratio, 1.0 - 1e-9);
   EXPECT_LE(r.ratio,
             16.0 * r.alpha * std::log2(g.num_vertices() + 2.0));
@@ -50,14 +54,17 @@ TEST(MstEstimator, WorksOnLowerBoundFamily) {
 
 TEST(MstEstimator, DeterministicPerSeed) {
   const WeightedGraph g = grid(4, 4, /*perturb=*/true, 10);
-  const MstEstimateResult a = estimate_mst_weight(g, 0.5, 42);
-  const MstEstimateResult b = estimate_mst_weight(g, 0.5, 42);
+  const MstEstimateResult a =
+      estimate_mst_weight(g, 0.5, api::RunContext{}.with_seed(42));
+  const MstEstimateResult b =
+      estimate_mst_weight(g, 0.5, api::RunContext{}.with_seed(42));
   EXPECT_DOUBLE_EQ(a.psi, b.psi);
 }
 
 TEST(MstEstimator, ExactDistanceModeAlsoValid) {
   const WeightedGraph g = ring_with_chords(20, 5, 6.0, 11);
-  const MstEstimateResult r = estimate_mst_weight(g, 0.0, 12);
+  const MstEstimateResult r =
+      estimate_mst_weight(g, 0.0, api::RunContext{}.with_seed(12));
   EXPECT_GE(r.ratio, 1.0 - 1e-9);
   EXPECT_DOUBLE_EQ(r.alpha, 1.0);
 }

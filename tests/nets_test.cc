@@ -23,8 +23,8 @@ TEST_P(NetSweepTest, CoveringAndSeparationOnZoo) {
     NetParams params;
     params.radius = radius;
     params.delta = delta;
-    params.seed = seed;
-    const NetResult r = build_net(g, params);
+    const api::RunContext ctx = api::RunContext{}.with_seed(seed);
+    const NetResult r = build_net(g, params, ctx);
     ASSERT_FALSE(r.net.empty()) << name;
     // Theorem 3: ((1+δ)Δ)-covering and Δ/(1+δ)-separated.
     const NetCheck check =
@@ -49,8 +49,8 @@ TEST(Net, IterationsAreLogarithmic) {
   NetParams params;
   params.radius = 3.0;
   params.delta = 0.25;
-  params.seed = 5;
-  const NetResult r = build_net(g, params);
+  const api::RunContext ctx = api::RunContext{}.with_seed(5);
+  const NetResult r = build_net(g, params, ctx);
   EXPECT_LE(r.iterations, 4 * static_cast<int>(std::log2(128.0)) + 4);
   EXPECT_GE(r.iterations, 1);
 }
@@ -60,7 +60,7 @@ TEST(Net, TinyRadiusYieldsAllVertices) {
   NetParams params;
   params.radius = g.min_edge_weight() / 4.0;
   params.delta = 0.0;
-  const NetResult r = build_net(g, params);
+  const NetResult r = build_net(g, params, {});
   EXPECT_EQ(r.net.size(), 30u);  // everything is >Δ apart
 }
 
@@ -69,7 +69,7 @@ TEST(Net, HugeRadiusYieldsSinglePoint) {
   NetParams params;
   params.radius = 1000.0;
   params.delta = 0.0;
-  const NetResult r = build_net(g, params);
+  const NetResult r = build_net(g, params, {});
   EXPECT_EQ(r.net.size(), 1u);
 }
 
@@ -78,9 +78,9 @@ TEST(Net, DeterministicPerSeed) {
   NetParams params;
   params.radius = 2.0;
   params.delta = 0.5;
-  params.seed = 99;
-  const NetResult a = build_net(g, params);
-  const NetResult b = build_net(g, params);
+  const api::RunContext ctx = api::RunContext{}.with_seed(99);
+  const NetResult a = build_net(g, params, ctx);
+  const NetResult b = build_net(g, params, ctx);
   EXPECT_EQ(a.net, b.net);
   EXPECT_EQ(a.iterations, b.iterations);
 }
@@ -91,8 +91,8 @@ TEST(Net, DifferentSeedsBothValid) {
     NetParams params;
     params.radius = 0.2;
     params.delta = 0.5;
-    params.seed = seed;
-    const NetResult r = build_net(g, params);
+    const api::RunContext ctx = api::RunContext{}.with_seed(seed);
+    const NetResult r = build_net(g, params, ctx);
     const NetCheck check =
         check_net(g, r.net, 1.5 * 0.2, 0.2 / 1.5);
     EXPECT_TRUE(check.covering && check.separated) << "seed " << seed;
@@ -104,7 +104,7 @@ TEST(Net, LeListSizesStayLogarithmic) {
   NetParams params;
   params.radius = 2.5;
   params.delta = 0.25;
-  const NetResult r = build_net(g, params);
+  const NetResult r = build_net(g, params, {});
   EXPECT_LE(r.max_le_list_size,
             static_cast<size_t>(8.0 * std::log2(100.0)));
 }
@@ -114,7 +114,7 @@ TEST(Net, LedgerRecordsPerIterationPhases) {
   NetParams params;
   params.radius = 1.5;
   params.delta = 0.5;
-  const NetResult r = build_net(g, params);
+  const NetResult r = build_net(g, params, {});
   int le_phases = 0, spt_phases = 0;
   for (const auto& [phase, cost] : r.ledger.phases()) {
     if (phase.find("le-lists") != std::string::npos) ++le_phases;
@@ -128,10 +128,10 @@ TEST(Net, RejectsBadParameters) {
   const WeightedGraph g = path_graph(4, WeightLaw::kUnit, 1.0, 1);
   NetParams params;
   params.radius = 0.0;
-  EXPECT_THROW(build_net(g, params), std::invalid_argument);
+  EXPECT_THROW(build_net(g, params, {}), std::invalid_argument);
   params.radius = 1.0;
   params.delta = -0.5;
-  EXPECT_THROW(build_net(g, params), std::invalid_argument);
+  EXPECT_THROW(build_net(g, params, {}), std::invalid_argument);
 }
 
 }  // namespace

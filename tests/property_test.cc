@@ -6,6 +6,7 @@
 
 #include <cmath>
 
+#include "core/doubling_spanner.h"
 #include "core/light_spanner.h"
 #include "core/nets.h"
 #include "core/slt.h"
@@ -45,8 +46,8 @@ TEST_P(PropertySeed, SpannerGuaranteesHoldOnRandomInstances) {
     LightSpannerParams params;
     params.k = k;
     params.epsilon = 0.25;
-    params.seed = seed;
-    const LightSpannerResult r = build_light_spanner(g, params);
+    const api::RunContext ctx = api::RunContext{}.with_seed(seed);
+    const LightSpannerResult r = build_light_spanner(g, params, ctx);
     EXPECT_LE(max_edge_stretch(g, r.spanner),
               (2.0 * k - 1.0) * (1.0 + 6.0 * params.epsilon) + 1e-6)
         << "seed " << seed << " k " << k;
@@ -54,6 +55,22 @@ TEST_P(PropertySeed, SpannerGuaranteesHoldOnRandomInstances) {
               20.0 * k * std::pow(static_cast<double>(g.num_vertices()),
                                   1.0 / k))
         << "seed " << seed << " k " << k;
+  }
+}
+
+TEST_P(PropertySeed, DoublingSpannerGuaranteesHoldOnRandomInstances) {
+  const std::uint64_t seed = GetParam();
+  const WeightedGraph g = random_instance(seed ^ 0xD0B1);
+  for (const double eps : {0.05, 0.1}) {
+    DoublingSpannerParams params;
+    params.epsilon = eps;
+    const api::RunContext ctx = api::RunContext{}.with_seed(seed);
+    const DoublingSpannerResult r = build_doubling_spanner(g, params, ctx);
+    EXPECT_TRUE(g.edge_subgraph(r.spanner).is_connected())
+        << "seed " << seed << " eps " << eps;
+    // §7.2 (the registry's bound_stretch): 1 + 30ε for ε < 1/8.
+    EXPECT_LE(max_edge_stretch(g, r.spanner), 1.0 + 30.0 * eps + 1e-6)
+        << "seed " << seed << " eps " << eps;
   }
 }
 
@@ -76,8 +93,8 @@ TEST_P(PropertySeed, NetGuaranteesHoldOnRandomInstances) {
   NetParams params;
   params.radius = 0.3 * g.max_edge_weight();
   params.delta = 0.25 * (seed % 3);
-  params.seed = seed;
-  const NetResult r = build_net(g, params);
+  const api::RunContext ctx = api::RunContext{}.with_seed(seed);
+  const NetResult r = build_net(g, params, ctx);
   const NetCheck check =
       check_net(g, r.net, (1.0 + params.delta) * params.radius,
                 params.radius / (1.0 + params.delta));
@@ -133,18 +150,18 @@ TEST(FailureInjection, DisconnectedGraphsAreRejected) {
       WeightedGraph::from_edges(4, {{0, 1, 1.0}, {2, 3, 1.0}});
   EXPECT_THROW(build_slt(g, 0, 0.5), std::invalid_argument);
   LightSpannerParams params;
-  EXPECT_ANY_THROW(build_light_spanner(g, params));
+  EXPECT_ANY_THROW(build_light_spanner(g, params, {}));
   EXPECT_THROW(mst_weight(g), std::invalid_argument);
 }
 
 TEST(FailureInjection, EmptyAndSingletonGraphs) {
   const WeightedGraph lone = path_graph(1, WeightLaw::kUnit, 1.0, 1);
   LightSpannerParams params;
-  const LightSpannerResult r = build_light_spanner(lone, params);
+  const LightSpannerResult r = build_light_spanner(lone, params, {});
   EXPECT_TRUE(r.spanner.empty());
   NetParams np;
   np.radius = 1.0;
-  const NetResult net = build_net(lone, np);
+  const NetResult net = build_net(lone, np, {});
   EXPECT_EQ(net.net.size(), 1u);
 }
 
@@ -154,7 +171,7 @@ TEST(FailureInjection, TwoVertexGraph) {
   EXPECT_EQ(slt.tree_edges.size(), 1u);
   LightSpannerParams params;
   params.k = 2;
-  const LightSpannerResult sp = build_light_spanner(g, params);
+  const LightSpannerResult sp = build_light_spanner(g, params, {});
   EXPECT_EQ(sp.spanner.size(), 1u);
 }
 
@@ -166,14 +183,14 @@ TEST(CongestionCertificate, AllConstructionsReportUnitEdgeLoad) {
       erdos_renyi(48, 0.15, WeightLaw::kHeavyTail, 100.0, 5);
   LightSpannerParams params;
   params.k = 2;
-  const LightSpannerResult sp = build_light_spanner(g, params);
+  const LightSpannerResult sp = build_light_spanner(g, params, {});
   EXPECT_LE(sp.ledger.total().max_edge_load, 1u);
   const SltResult slt = build_slt(g, 0, 0.25);
   EXPECT_LE(slt.ledger.total().max_edge_load, 1u);
   NetParams np;
   np.radius = 5.0;
   np.delta = 0.5;
-  const NetResult net = build_net(g, np);
+  const NetResult net = build_net(g, np, {});
   EXPECT_LE(net.ledger.total().max_edge_load, 1u);
 }
 
@@ -186,7 +203,7 @@ TEST(ShapeProperty, SpannerRoundsGrowSublinearly) {
         erdos_renyi(n, 8.0 / n, WeightLaw::kHeavyTail, 300.0, 11);
     LightSpannerParams params;
     params.k = 2;
-    const LightSpannerResult r = build_light_spanner(g, params);
+    const LightSpannerResult r = build_light_spanner(g, params, {});
     (n == 128 ? rounds_small : rounds_large) = r.ledger.total().rounds;
   }
   // ×4 vertices must cost far less than ×4 rounds (Theorem 2's headline).
@@ -201,8 +218,8 @@ TEST(ShapeProperty, NetIterationsStayLogarithmicAcrossSeeds) {
     NetParams params;
     params.radius = 3.0;
     params.delta = 0.5;
-    params.seed = seed;
-    const NetResult r = build_net(g, params);
+    const api::RunContext ctx = api::RunContext{}.with_seed(seed);
+    const NetResult r = build_net(g, params, ctx);
     EXPECT_LE(r.iterations, 3 * static_cast<int>(std::log2(96.0)) + 3)
         << "seed " << seed;
   }

@@ -11,8 +11,6 @@
 
 #include "api/registry.h"
 #include "api/scenario.h"
-#include "core/light_spanner.h"
-#include "core/nets.h"
 #include "graph/generators.h"
 #include "tests/test_util.h"
 
@@ -129,26 +127,15 @@ TEST(Registry, BitDeterministicAcrossRunsWithTheSameSeed) {
 
 TEST(Registry, DoublingSpannerDeterministicThroughBatchedFastPath) {
   // The batched exploration fast path must keep doubling_spanner artifacts
-  // bit-deterministic per seed, and identical (same edges, same
-  // diagnostics) to the legacy unbatched encoding — only the ledger may
-  // differ between the encodings.
+  // bit-deterministic per seed.
   const Construction* c = api::find_construction("doubling_spanner");
   ASSERT_NE(c, nullptr);
   for (const auto& [gname, g] : registry_graphs()) {
     RunContext fast;
     fast.seed = 7;
-    RunContext legacy;
-    legacy.seed = 7;
-    legacy.sched.legacy_unbatched = true;
     const Artifact a = c->run(g, ConstructionParams{}, fast);
     const Artifact b = c->run(g, ConstructionParams{}, fast);
     expect_same_artifact(a, b, gname + "/doubling_spanner/rerun");
-    const Artifact l = c->run(g, ConstructionParams{}, legacy);
-    EXPECT_EQ(a.edges, l.edges) << gname;
-    EXPECT_EQ(api::diagnostic_or(a.diagnostics, "pairs_connected", -1.0),
-              api::diagnostic_or(l.diagnostics, "pairs_connected", -2.0))
-        << gname;
-    EXPECT_LE(a.ledger.total().messages, l.ledger.total().messages) << gname;
   }
 }
 
@@ -235,28 +222,6 @@ TEST(RunContext, ChildDetachesSinkAndSplitsSeed) {
   EXPECT_EQ(child.ledger_sink, nullptr);
   EXPECT_TRUE(child.sched.full_sweep);
   EXPECT_EQ(ctx.with_seed(99).seed, 99u);
-}
-
-TEST(Registry, BackCompatWrappersMatchRunContextEntryPoints) {
-  // The legacy signatures must stay bit-identical to the RunContext path
-  // (they are documented as thin wrappers).
-  const WeightedGraph g =
-      erdos_renyi(24, 0.25, WeightLaw::kUniform, 20.0, 17);
-  NetParams np;
-  np.radius = 5.0;
-  np.seed = 77;
-  const NetResult legacy = build_net(g, np);
-  const NetResult ctxed =
-      build_net(g, np, api::RunContext{}.with_seed(77));
-  EXPECT_EQ(legacy.net, ctxed.net);
-  EXPECT_EQ(legacy.iterations, ctxed.iterations);
-
-  LightSpannerParams lp;
-  lp.seed = 77;
-  const LightSpannerResult ls_legacy = build_light_spanner(g, lp);
-  const LightSpannerResult ls_ctxed =
-      build_light_spanner(g, lp, api::RunContext{}.with_seed(77));
-  EXPECT_EQ(ls_legacy.spanner, ls_ctxed.spanner);
 }
 
 }  // namespace

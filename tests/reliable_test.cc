@@ -5,9 +5,10 @@
 //      fixpoint) and the retransmission counter matches the drop counter —
 //      stop-and-wait turns every dropped frame or ack into exactly one
 //      retransmission;
-//  (3) the bounded multi-source tables survive drops and reordered inboxes
-//      unchanged (relaxation keeps the canonical fixed point regardless of
-//      offer arrival order, and tables are sorted when a run ends);
+//  (3) the bounded multi-source tables equal the sequential oracle's
+//      (tests/exploration_oracle.h) under drops and reordered inboxes
+//      (relaxation keeps the canonical fixed point regardless of offer
+//      arrival order, and tables are sorted when a run ends);
 //  (4) heavy loss (25%) still converges; loss on down links (link_fail
 //      intervals) still converges.
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include "graph/generators.h"
 #include "routines/approx_spt.h"
 #include "routines/bounded_multisource.h"
+#include "tests/exploration_oracle.h"
 #include "tests/test_util.h"
 
 namespace lightnet {
@@ -38,26 +40,6 @@ void expect_same_tree(const BfsTreeResult& a, const BfsTreeResult& b,
   EXPECT_EQ(a.reached, b.reached) << context;
 }
 
-void expect_same_tables(const BoundedMultiSourceResult& a,
-                        const BoundedMultiSourceResult& b,
-                        const std::string& context) {
-  ASSERT_EQ(a.table.size(), b.table.size()) << context;
-  for (size_t v = 0; v < a.table.size(); ++v) {
-    ASSERT_EQ(a.table[v].size(), b.table[v].size()) << context << " v=" << v;
-    for (size_t i = 1; i < b.table[v].size(); ++i)
-      EXPECT_LT(b.table[v][i - 1].source, b.table[v][i].source)
-          << context << " v=" << v;
-    for (size_t i = 0; i < a.table[v].size(); ++i) {
-      const auto& ea = a.table[v][i];
-      const auto& eb = b.table[v][i];
-      EXPECT_EQ(ea.source, eb.source) << context << " v=" << v;
-      EXPECT_EQ(ea.dist, eb.dist) << context << " v=" << v;
-      EXPECT_EQ(ea.parent, eb.parent) << context << " v=" << v;
-      EXPECT_EQ(ea.parent_edge, eb.parent_edge) << context << " v=" << v;
-    }
-  }
-  EXPECT_EQ(a.max_sources_per_vertex, b.max_sources_per_vertex) << context;
-}
 
 TEST(ReliableBfs, CleanNetworkMatchesPlainBfsWithoutRetransmits) {
   for (const auto& [name, g] : testing::small_graph_zoo()) {
@@ -120,16 +102,11 @@ TEST(ReliableBfs, RootedAwayFromZero) {
   expect_same_tree(plain, recovered, "path10/root9");
 }
 
-TEST(ReliableBoundedMultiSource, TablesMatchFaultFreeUnderDrops) {
+TEST(ReliableBoundedMultiSource, TablesMatchOracleUnderDrops) {
   for (const auto& [name, g] : testing::small_graph_zoo()) {
     const RoundedSubstrate substrate(g, 0.1);
     const std::vector<VertexId> sources = {0, g.num_vertices() / 2};
     const Weight radius = 30.0;
-
-    SchedulerOptions legacy;
-    legacy.legacy_unbatched = true;
-    const BoundedMultiSourceResult clean =
-        bounded_multi_source_paths(substrate, sources, radius, legacy);
 
     // Drops alone, then drops with every inbox permuted: offers reach a
     // vertex in a different order, so its records are appended in a
@@ -143,26 +120,27 @@ TEST(ReliableBoundedMultiSource, TablesMatchFaultFreeUnderDrops) {
       const BoundedMultiSourceResult recovered =
           bounded_multi_source_paths_reliable(substrate, sources, radius,
                                               lossy);
-      expect_same_tables(clean, recovered, context);
+      testing::expect_matches_oracle(recovered, substrate.rounded, sources,
+                                     radius, context);
       EXPECT_EQ(recovered.cost.retransmitted, recovered.cost.dropped)
           << context;
     }
   }
 }
 
-TEST(ReliableBoundedMultiSource, CleanRunMatchesLegacyEncoding) {
+TEST(ReliableBoundedMultiSource, CleanRunMatchesOracle) {
   const WeightedGraph g =
       erdos_renyi(24, 0.25, WeightLaw::kUniform, 20.0, 17);
   const RoundedSubstrate substrate(g, 0.1);
   const std::vector<VertexId> sources = {1, 5, 12};
-  SchedulerOptions legacy;
-  legacy.legacy_unbatched = true;
-  const BoundedMultiSourceResult a =
-      bounded_multi_source_paths(substrate, sources, 25.0, legacy);
-  const BoundedMultiSourceResult b = bounded_multi_source_paths_reliable(
-      substrate, sources, 25.0, SchedulerOptions{});
-  expect_same_tables(a, b, "er24/clean");
-  EXPECT_EQ(b.cost.retransmitted, 0u);
+  // threads=4 is clamped to the serial transport.
+  SchedulerOptions threaded;
+  threaded.threads = 4;
+  const BoundedMultiSourceResult r =
+      bounded_multi_source_paths_reliable(substrate, sources, 25.0, threaded);
+  testing::expect_matches_oracle(r, substrate.rounded, sources, 25.0,
+                                 "er24/clean");
+  EXPECT_EQ(r.cost.retransmitted, 0u);
 }
 
 }  // namespace

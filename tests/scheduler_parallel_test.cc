@@ -11,14 +11,15 @@
 
 #include <memory>
 #include <span>
-#include <tuple>
 #include <vector>
 
 #include "congest/bellman_ford.h"
 #include "congest/bfs.h"
 #include "congest/scheduler.h"
 #include "graph/generators.h"
+#include "routines/approx_spt.h"
 #include "routines/bounded_multisource.h"
+#include "tests/exploration_oracle.h"
 #include "tests/test_util.h"
 
 namespace lightnet::congest {
@@ -146,30 +147,22 @@ TEST(ParallelScheduler, FaultPlanBitIdenticalAcrossThreadCounts) {
 
 // Batched multi-word payloads: parallel staging packs the lane id into the
 // ext offset's top bits; the bounded multi-source kernel uses both
-// send_words_on_link and broadcast_words, so its tables prove payloads
-// survive the lane arena round-trip.
-std::vector<std::tuple<VertexId, VertexId, double, VertexId, EdgeId>>
-flatten_table(const BoundedMultiSourceResult& r) {
-  std::vector<std::tuple<VertexId, VertexId, double, VertexId, EdgeId>> flat;
-  for (VertexId v = 0; v < static_cast<VertexId>(r.table.size()); ++v)
-    for (const BoundedSourceEntry& e : r.table[static_cast<size_t>(v)])
-      flat.emplace_back(v, e.source, e.dist, e.parent, e.parent_edge);
-  return flat;
-}
-
+// send_words_on_link and broadcast_words, so tables equal to the
+// sequential oracle's prove payloads survive the lane arena round-trip.
 TEST(ParallelScheduler, BatchedPayloadsBitIdenticalAcrossThreadCounts) {
-  const WeightedGraph g =
-      erdos_renyi(48, 0.15, WeightLaw::kUniform, 30.0, 23);
+  const RoundedSubstrate substrate(
+      erdos_renyi(48, 0.15, WeightLaw::kUniform, 30.0, 23), 0.25);
   const std::vector<VertexId> sources = {0, 7, 31};
-  const auto serial = bounded_multi_source_paths(g, sources, 60.0, 0.25);
-  const auto serial_flat = flatten_table(serial);
-  EXPECT_FALSE(serial_flat.empty());
+  const auto serial = bounded_multi_source_paths(substrate, sources, 60.0);
+  lightnet::testing::expect_matches_oracle(serial, substrate.rounded, sources,
+                                           60.0, "threads=1");
   for (int threads : {2, 4, 8}) {
-    const auto par = bounded_multi_source_paths(g, sources, 60.0, 0.25,
+    const auto par = bounded_multi_source_paths(substrate, sources, 60.0,
                                                 with_threads(threads));
     const std::string context = "threads=" + std::to_string(threads);
     expect_same_model_cost(serial.cost, par.cost, context);
-    EXPECT_EQ(serial_flat, flatten_table(par)) << context;
+    lightnet::testing::expect_matches_oracle(par, substrate.rounded, sources,
+                                             60.0, context);
   }
 }
 

@@ -2,9 +2,10 @@
 // into one scheduler execution over channel-tagged messages must be sliceable
 // back into exactly the per-scale tables — each scale's table is the
 // (sources, radius)-slice of the owning channels' records, bit-identical to
-// a standalone run at that scale. Also covers warm starts across waves
-// (per-link filtered shells, retired-source tombstones) and the hopset-union
-// variant with per-source radii.
+// the sequential oracle at that scale (tests/exploration_oracle.h). Also
+// covers warm starts across waves (per-link filtered shells, retired-source
+// tombstones) and the hopset-union variant with per-source radii, whose
+// slices are checked against standalone hopset runs.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -13,66 +14,11 @@
 #include "routines/approx_spt.h"
 #include "routines/bounded_multisource.h"
 #include "routines/hopset.h"
+#include "tests/exploration_oracle.h"
 #include "tests/test_util.h"
 
 namespace lightnet {
 namespace {
-
-// Runs append records and sort once when they end: every table an entry
-// point returns must be strictly ascending by source again.
-void expect_sources_ascend(const std::vector<BoundedSourceEntry>& table,
-                           size_t v) {
-  for (size_t j = 1; j < table.size(); ++j)
-    EXPECT_LT(table[j - 1].source, table[j].source) << "vertex " << v;
-}
-
-// Slice the wave state back into one scale's standalone table layout.
-std::vector<std::vector<BoundedSourceEntry>> slice_scale(
-    const WaveExploreState& state, const std::vector<std::uint8_t>& channel_of,
-    std::span<const VertexId> sources, Weight radius, int n) {
-  std::vector<char> active(static_cast<size_t>(n), 0);
-  for (VertexId s : sources) active[static_cast<size_t>(s)] = 1;
-  std::vector<std::vector<BoundedSourceEntry>> sliced(static_cast<size_t>(n));
-  for (VertexId v = 0; v < n; ++v) {
-    for (const std::vector<std::vector<BoundedSourceEntry>>& chan :
-         state.table) {
-      expect_sources_ascend(chan[static_cast<size_t>(v)],
-                            static_cast<size_t>(v));
-      for (const BoundedSourceEntry& e : chan[static_cast<size_t>(v)]) {
-        if (!active[static_cast<size_t>(e.source)]) continue;
-        if (e.dist > radius) continue;
-        sliced[static_cast<size_t>(v)].push_back(e);
-      }
-    }
-    std::sort(sliced[static_cast<size_t>(v)].begin(),
-              sliced[static_cast<size_t>(v)].end(),
-              [](const BoundedSourceEntry& a, const BoundedSourceEntry& b) {
-                return a.source < b.source;
-              });
-  }
-  (void)channel_of;
-  return sliced;
-}
-
-void expect_slice_matches(
-    const std::vector<std::vector<BoundedSourceEntry>>& sliced,
-    const BoundedMultiSourceResult& ref) {
-  ASSERT_EQ(sliced.size(), ref.table.size());
-  for (size_t v = 0; v < sliced.size(); ++v) {
-    expect_sources_ascend(ref.table[v], v);
-    expect_sources_ascend(sliced[v], v);
-    ASSERT_EQ(sliced[v].size(), ref.table[v].size()) << "vertex " << v;
-    for (size_t j = 0; j < sliced[v].size(); ++j) {
-      const BoundedSourceEntry& a = sliced[v][j];
-      const BoundedSourceEntry& b = ref.table[v][j];
-      EXPECT_EQ(a.source, b.source) << "vertex " << v;
-      EXPECT_EQ(a.dist, b.dist) << "vertex " << v;  // bitwise, not NEAR
-      EXPECT_EQ(a.parent, b.parent) << "vertex " << v;
-      EXPECT_EQ(a.parent_edge, b.parent_edge) << "vertex " << v;
-      EXPECT_EQ(a.hopset_edge, b.hopset_edge) << "vertex " << v;
-    }
-  }
-}
 
 std::vector<WeightedGraph> wave_zoo(std::uint64_t seed) {
   std::vector<WeightedGraph> zoo;
@@ -90,7 +36,7 @@ std::vector<VertexId> every_kth(int n, int k) {
   return out;
 }
 
-TEST(WaveExplore, SlicesMatchPerScaleRunsOnZoo) {
+TEST(WaveExplore, SlicesMatchOracleOnZoo) {
   for (const WeightedGraph& g : wave_zoo(5)) {
     const RoundedSubstrate substrate(g, 0.1);
     const int n = g.num_vertices();
@@ -103,14 +49,8 @@ TEST(WaveExplore, SlicesMatchPerScaleRunsOnZoo) {
       scales.push_back({nets[i], radii[i]});
     const WaveExploreResult wave = bounded_multi_source_paths_wave(
         substrate, scales, WaveExploreState{});
-
-    for (size_t i = 0; i < nets.size(); ++i) {
-      const BoundedMultiSourceResult ref =
-          bounded_multi_source_paths(substrate, nets[i], radii[i]);
-      const auto sliced =
-          slice_scale(wave.state, wave.channel_of, nets[i], radii[i], n);
-      expect_slice_matches(sliced, ref);
-    }
+    testing::expect_wave_matches_oracle(wave.state, substrate.rounded, scales,
+                                        "cold wave");
     // Per-channel congestion slices must sum to the untagged totals.
     ASSERT_EQ(wave.cost.per_channel.size(), scales.size());
     std::uint64_t ch_messages = 0;
@@ -124,7 +64,7 @@ TEST(WaveExplore, SlicesMatchPerScaleRunsOnZoo) {
   }
 }
 
-TEST(WaveExplore, WarmStartAcrossWavesMatchesColdRuns) {
+TEST(WaveExplore, WarmStartAcrossWavesMatchesOracle) {
   for (const WeightedGraph& g : wave_zoo(9)) {
     const RoundedSubstrate substrate(g, 0.1);
     const int n = g.num_vertices();
@@ -151,13 +91,8 @@ TEST(WaveExplore, WarmStartAcrossWavesMatchesColdRuns) {
 
     EXPECT_GT(b.records_inherited, 0u);
     EXPECT_GT(b.pruned_records, 0u);  // every_kth(n,2) sources retired
-    for (size_t i = 0; i < nets_b.size(); ++i) {
-      const BoundedMultiSourceResult ref =
-          bounded_multi_source_paths(substrate, nets_b[i], radii_b[i]);
-      const auto sliced =
-          slice_scale(b.state, b.channel_of, nets_b[i], radii_b[i], n);
-      expect_slice_matches(sliced, ref);
-    }
+    testing::expect_wave_matches_oracle(b.state, substrate.rounded, wave_b,
+                                        "warm wave");
   }
 }
 
@@ -187,7 +122,7 @@ TEST(WaveExplore, HopsetWaveSlicesMatchPerScaleHopsetRuns) {
       h, hopset, union_sources, radius_by_source, /*hop_diameter=*/4);
 
   for (size_t i = 0; i < nets.size(); ++i) {
-    const BoundedMultiSourceResult ref = bounded_multi_source_paths_hopset_on(
+    const BoundedMultiSourceResult ref = bounded_multi_source_paths_hopset(
         h, hopset, nets[i], radii[i], /*hop_diameter=*/4);
     // Slice the union table down to this scale's sources and radius.
     std::vector<char> active(static_cast<size_t>(n), 0);
@@ -198,7 +133,8 @@ TEST(WaveExplore, HopsetWaveSlicesMatchPerScaleHopsetRuns) {
       for (const BoundedSourceEntry& e : wave.table[static_cast<size_t>(v)])
         if (active[static_cast<size_t>(e.source)] && e.dist <= radii[i])
           sliced[static_cast<size_t>(v)].push_back(e);
-    expect_slice_matches(sliced, ref);
+    testing::expect_tables_match(sliced, ref.table,
+                                 "hopset scale " + std::to_string(i));
   }
 }
 
