@@ -24,11 +24,10 @@ std::size_t substrate_bytes(const RoundedSubstrate& s) {
   const std::size_t n = static_cast<std::size_t>(s.rounded.num_vertices());
   const std::size_t m = static_cast<std::size_t>(s.rounded.num_edges());
   // Rounded edge list + CSR incidence (both directions) + the Network's
-  // offsets/dir-slot sidecars + incident-weight tables. Coefficients match
-  // the containers' element types; container headers and allocator slack
-  // are ignored.
+  // offsets/dir-slot sidecars. Coefficients match the containers' element
+  // types; container headers and allocator slack are ignored.
   return m * sizeof(Edge) + 2 * m * (sizeof(Incidence) + sizeof(std::uint32_t)) +
-         n * (sizeof(int) + 2 * sizeof(Weight));
+         n * sizeof(int);
 }
 
 std::size_t SubstratePool::resident_bytes() const {

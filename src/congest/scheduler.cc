@@ -41,13 +41,6 @@ void NodeContext::send_words_on_link(int link_index, std::uint32_t tag,
                             channel, words);
 }
 
-void NodeContext::broadcast_words(std::uint32_t tag,
-                                  std::span<const std::uint64_t> words,
-                                  std::uint8_t channel) {
-  scheduler_->broadcast_words(lane_, self_, link_base_, links_, tag, channel,
-                              words);
-}
-
 void NodeContext::reliable_send_on_link(int link_index, const Message& msg) {
   scheduler_->reliable_send(self_, link_base_, link_index, links_, msg);
 }
@@ -190,6 +183,10 @@ void Scheduler::return_scratch() {
   scratch_ = nullptr;
   s->stage = std::move(stage_);
   s->deliver_buf = std::move(deliver_buf_);
+  // The word arenas go back in the roles they were adopted in, so every
+  // run stages its round 0 (an exploration wave's shell burst, usually its
+  // widest round) into the same arena and the other one stays small.
+  if (words_flipped_) std::swap(stage_words_, deliver_words_);
   s->stage_words = std::move(stage_words_);
   s->deliver_words = std::move(deliver_words_);
   s->arena = std::move(arena_);
@@ -272,34 +269,21 @@ void Scheduler::enqueue_resolved(int lane, VertexId from, VertexId to,
   }
 }
 
-Message Scheduler::stage_batched_message(
-    int lane, std::uint32_t tag, std::uint8_t channel,
-    std::span<const std::uint64_t> words) {
-  LN_ASSERT(words.size() <= kBatchChunkWords);
-  Message msg;
-  msg.tag = tag;
-  msg.channel = channel;
-  if (words.size() <= static_cast<size_t>(kMaxWords)) {
-    for (std::uint64_t w : words) msg.words[msg.size++] = w;
-  } else if (lanes_.empty()) {
-    msg.ext_offset = static_cast<std::uint32_t>(stage_words_.size());
-    msg.ext_size = static_cast<std::uint16_t>(words.size());
-    if (stage_words_.size() + words.size() > stage_words_.capacity())
-      ++stats_.inbox_reallocs;
-    stage_words_.insert(stage_words_.end(), words.begin(), words.end());
-  } else {
-    Lane& l = lanes_[static_cast<size_t>(lane)];
-    const size_t off = l.words.size();
-    LN_ASSERT_MSG(off + words.size() <= static_cast<size_t>(kLaneOffsetMask) + 1,
-                  "lane word arena exceeds the packed-offset budget");
-    msg.ext_offset = (static_cast<std::uint32_t>(lane) << kLaneShift) |
-                     static_cast<std::uint32_t>(off);
-    msg.ext_size = static_cast<std::uint16_t>(words.size());
-    if (off + words.size() > l.words.capacity()) ++l.reallocs;
-    l.words.insert(l.words.end(), words.begin(), words.end());
-  }
-  return msg;
+namespace {
+
+// Makes room for `extra` more words in a batched-payload arena, growing it
+// straight to the power of two that fits: the capacity then depends only on
+// the largest round the arena ever held, not on the sizes earlier runs left
+// behind (doubling from whatever capacity an adopted pool brought would).
+// Returns whether the arena had to grow.
+bool reserve_words(std::vector<std::uint64_t>& arena, size_t extra) {
+  const size_t needed = arena.size() + extra;
+  if (needed <= arena.capacity()) return false;
+  arena.reserve(std::bit_ceil(needed));
+  return true;
 }
+
+}  // namespace
 
 void Scheduler::enqueue_words(int lane, VertexId from, VertexId to, EdgeId edge,
                               std::uint32_t dir_slot, std::uint32_t tag,
@@ -307,28 +291,33 @@ void Scheduler::enqueue_words(int lane, VertexId from, VertexId to, EdgeId edge,
                               std::span<const std::uint64_t> words) {
   for (size_t off = 0; off == 0 || off < words.size();
        off += kBatchChunkWords) {
-    const size_t len = std::min(words.size() - off, kBatchChunkWords);
-    enqueue_resolved(
-        lane, from, to, edge, dir_slot,
-        stage_batched_message(lane, tag, channel, words.subspan(off, len)));
-  }
-}
-
-void Scheduler::broadcast_words(int lane, VertexId from, int link_base,
-                                std::span<const Incidence> links,
-                                std::uint32_t tag, std::uint8_t channel,
-                                std::span<const std::uint64_t> words) {
-  for (size_t off = 0; off == 0 || off < words.size();
-       off += kBatchChunkWords) {
-    const size_t len = std::min(words.size() - off, kBatchChunkWords);
-    const Message msg =
-        stage_batched_message(lane, tag, channel, words.subspan(off, len));
-    for (size_t i = 0; i < links.size(); ++i) {
-      const Incidence& inc = links[i];
-      const std::uint32_t slot =
-          network_->dir_slot(link_base + static_cast<int>(i));
-      enqueue_resolved(lane, from, inc.neighbor, inc.edge, slot, msg);
+    const std::span<const std::uint64_t> chunk =
+        words.subspan(off, std::min(words.size() - off, kBatchChunkWords));
+    // The chunk rides inline if it fits, else as one block of the staging
+    // lane's word arena.
+    Message msg;
+    msg.tag = tag;
+    msg.channel = channel;
+    if (chunk.size() <= static_cast<size_t>(kMaxWords)) {
+      for (std::uint64_t w : chunk) msg.words[msg.size++] = w;
+    } else if (lanes_.empty()) {
+      msg.ext_offset = static_cast<std::uint32_t>(stage_words_.size());
+      msg.ext_size = static_cast<std::uint16_t>(chunk.size());
+      if (reserve_words(stage_words_, chunk.size())) ++stats_.inbox_reallocs;
+      stage_words_.insert(stage_words_.end(), chunk.begin(), chunk.end());
+    } else {
+      Lane& l = lanes_[static_cast<size_t>(lane)];
+      const size_t lane_off = l.words.size();
+      LN_ASSERT_MSG(
+          lane_off + chunk.size() <= static_cast<size_t>(kLaneOffsetMask) + 1,
+          "lane word arena exceeds the packed-offset budget");
+      msg.ext_offset = (static_cast<std::uint32_t>(lane) << kLaneShift) |
+                       static_cast<std::uint32_t>(lane_off);
+      msg.ext_size = static_cast<std::uint16_t>(chunk.size());
+      if (reserve_words(l.words, chunk.size())) ++l.reallocs;
+      l.words.insert(l.words.end(), chunk.begin(), chunk.end());
     }
+    enqueue_resolved(lane, from, to, edge, dir_slot, msg);
   }
 }
 
@@ -381,6 +370,7 @@ void Scheduler::deliver_stage(int round) {
   if (!stage_words_.empty() || !deliver_words_.empty()) {
     std::swap(stage_words_, deliver_words_);
     stage_words_.clear();
+    words_flipped_ = !words_flipped_;
   }
   std::swap(current_mail_, mail_nodes_);
   for (VertexId v : current_mail_) has_mail_[static_cast<size_t>(v)] = 0;

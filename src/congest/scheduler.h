@@ -111,7 +111,9 @@ class NodeContext {
   // reports the honest bandwidth multiple of a relaxed run. `channel` tags
   // the message's logical flow (Message::channel); with
   // SchedulerOptions::channels > 1 the flow's costs are additionally
-  // accounted in CostStats::per_channel.
+  // accounted in CostStats::per_channel. There is no flood form: a
+  // program announcing on every link calls this once per link, so each
+  // link's payload can leave out what its far end would reject.
   void send_words_on_link(int link_index, std::uint32_t tag,
                           std::span<const std::uint64_t> words,
                           std::uint8_t channel = 0);
@@ -126,13 +128,6 @@ class NodeContext {
   // entry points clamp their SchedulerOptions accordingly). The receiver
   // needs no changes: the payload arrives unwrapped with its original tag.
   void reliable_send_on_link(int link_index, const Message& msg);
-
-  // Flood form of send_words_on_link: one batched message on EVERY link.
-  // The payload is written to the arena once and shared by all deg(v)
-  // messages (each still charged its full word count in CostStats), so a
-  // frontier broadcast costs one memcpy instead of deg(v).
-  void broadcast_words(std::uint32_t tag, std::span<const std::uint64_t> words,
-                       std::uint8_t channel = 0);
 
   // Full payload of a delivered message: the inline words for standard
   // messages, the arena-resident span for batched ones. Valid only during
@@ -178,7 +173,10 @@ static_assert(sizeof(Pending) == 8 + sizeof(Delivery),
 // by every run on that thread (so a Scheduler is destroyed on the thread
 // that constructed it). Contents are opaque capacity: the scheduler
 // clears every adopted vector before use, so execution is bit-identical
-// with or without a pool. `in_use` guards nesting: a kernel started from
+// with or without a pool. The batched-payload word arenas grow straight to
+// the power of two a round needs and return in the roles they were adopted
+// in, so their capacities depend only on the largest rounds they held, not
+// on which runs came first. `in_use` guards nesting: a kernel started from
 // inside another kernel's run on the same pool builds private buffers
 // instead. Serial buffers only — the threads>1 lane/shard state is
 // per-pool-size and stays privately owned.
@@ -229,10 +227,12 @@ struct SchedulerOptions {
   // window, reported in CostStats::per_channel. Channel ids on messages
   // must be < channels.
   int channels = 1;
-  // The doubling pipeline's reference mode: run the O(log W) scales as the
-  // original strictly sequential loop of scheduler passes instead of the
-  // concurrent-scale waves (core/doubling_spanner.cc). Spanners are
-  // bit-identical either way; bench_doubling checks the waves against it.
+  // The doubling pipeline's reference mode: close the exploration wave
+  // after every scale (one scheduler pass per scale) and thin the next
+  // scale's seeds from that wave's tables, instead of fusing consecutive
+  // scales into concurrent-scale waves fed by a seed-filter chain
+  // (core/doubling_spanner.cc). Spanners are bit-identical either way;
+  // bench_doubling checks the waves against it.
   bool sequential_scales = false;
   // Optional donated arena pool (see SchedulerScratch above). Null means the
   // Scheduler adopts its thread's own pool.
@@ -305,22 +305,10 @@ class Scheduler {
 
   void enqueue_resolved(int lane, VertexId from, VertexId to, EdgeId edge,
                         std::uint32_t dir_slot, const Message& msg);
-  // Packs `words` (≤ kBatchChunkWords) into a Message — inline if they
-  // fit, else one block of the lane's word arena; the shared packing step
-  // of enqueue_words and broadcast_words.
-  Message stage_batched_message(int lane, std::uint32_t tag,
-                                std::uint8_t channel,
-                                std::span<const std::uint64_t> words);
   void enqueue_words(int lane, VertexId from, VertexId to, EdgeId edge,
                      std::uint32_t dir_slot, std::uint32_t tag,
                      std::uint8_t channel,
                      std::span<const std::uint64_t> words);
-  // One arena copy shared by all links of `from` (see
-  // NodeContext::broadcast_words).
-  void broadcast_words(int lane, VertexId from, int link_base,
-                       std::span<const Incidence> links, std::uint32_t tag,
-                       std::uint8_t channel,
-                       std::span<const std::uint64_t> words);
   // Serial runs: folds the per-edge loads of the last send window into
   // max_edge_load and resets them (single owner of the touched_edges_
   // bookkeeping). Parallel runs fold in delivery (fold_window).
@@ -402,6 +390,7 @@ class Scheduler {
   // vertex range. A pure function of delivered message counts, so the
   // switch is deterministic.
   bool stage_skiplist_ = false;
+  bool words_flipped_ = false;  // the two word arenas swapped roles
 
   std::uint64_t in_flight_ = 0;
   CostStats stats_;

@@ -30,7 +30,6 @@ constexpr size_t kMaxWaveScales = 16;
 // Everything one scale contributes before its wave's exploration runs: the
 // net (already built) and the diagnostics gathered so far.
 struct PendingScale {
-  int scale_index = 0;
   Weight scale = 0.0;
   std::vector<VertexId> net;
   ScaleDiagnostics diag;
@@ -81,9 +80,10 @@ DoublingSpannerResult build_doubling_spanner(
   }
 
   // Concurrent scales fuse consecutive explorations into shared scheduler
-  // waves over channel-tagged messages; the sequential path (reference
-  // mode) runs one exploration per scale. Spanners are bit-identical either
-  // way: the wave tables slice back into exactly the per-scale tables (see
+  // waves over channel-tagged messages; the sequential reference mode
+  // closes the wave after every scale and thins the next scale's seeds
+  // from that wave's tables. Spanners are bit-identical either way: the
+  // wave tables slice back into exactly the per-scale tables (see
   // bounded_multisource.h), and the spanner is read off an edge-id byte map
   // in ascending order, whatever order the paths were collected in.
   const bool concurrent = !ctx.sched.sequential_scales;
@@ -107,27 +107,27 @@ DoublingSpannerResult build_doubling_spanner(
   std::vector<VertexId> union_net;
   std::uint32_t epoch = 0;
 
-  // Sequential-mode exploration chain (also the warm-start state threaded
-  // between waves lives further below).
-  BoundedMultiSourceResult prev_explore;
-  Weight prev_explore_radius = 0.0;
+  // Concurrent-mode seed-filter chain: a SHORT warm-started one-scale wave
+  // of each net at the NEXT scale's seed spacing — ~13× smaller radius than
+  // the 2Δ exploration, but by the slicing argument (thin_net_seeds) it
+  // reproduces the sequential filter decisions exactly. Decoupling the
+  // filter from the 2Δ tables is what lets a whole wave of nets be built
+  // before the wave's fused exploration runs.
+  WaveExploreState seed_chain;
+  BoundedMultiSourceResult hopset_seed_chain;
+  // The tables the next scale's seeds are thinned from: the seed chain's in
+  // concurrent mode, the last (one-scale) wave's in sequential mode.
+  const std::vector<std::vector<BoundedSourceEntry>>* seed_tables = nullptr;
 
-  // Concurrent-mode state. The seed-filter chain is a SHORT incremental
-  // exploration of each net at the NEXT scale's seed spacing — ~13× smaller
-  // radius than the 2Δ exploration, but by the slicing argument
-  // (thin_net_seeds) it reproduces the sequential filter decisions exactly.
-  // Decoupling the filter from the 2Δ tables is what lets a whole wave of
-  // nets be built before the wave's fused exploration runs.
-  BoundedMultiSourceResult seed_chain;
-  Weight seed_chain_radius = 0.0;
   WaveExploreState wave_state;
   std::vector<PendingScale> wave;
   size_t wave_net_sum = 0;
   int wave_index = 0;
 
-  // Hopset-mode wave scratch (per-source owner radii for the union run).
+  // Hopset-mode wave state (per-source owner radii for the union run).
   std::vector<Weight> radius_by_source;
   std::vector<VertexId> union_sources;
+  BoundedMultiSourceResult hopset_union;
 
   // Runs the fused exploration for the accumulated scales, then extracts
   // each scale's pairs from the sliced tables and connects them.
@@ -137,7 +137,6 @@ DoublingSpannerResult build_doubling_spanner(
 
     // --- fused exploration ---------------------------------------------
     const Clock::time_point explore_start = Clock::now();
-    BoundedMultiSourceResult hopset_union;
     WaveExploreResult wexp;
     if (params.use_hopset) {
       // Union run: every source bounded by the radius of the LAST scale
@@ -165,6 +164,9 @@ DoublingSpannerResult build_doubling_spanner(
       wave_state = std::move(wexp.state);
       result.ledger.add(wave_tag + "-explore", wexp.cost);
     }
+    if (!concurrent)
+      seed_tables =
+          params.use_hopset ? &hopset_union.table : &wave_state.table[0];
 
     wave[0].diag.explore_wall_ms = ms_since(explore_start);
 
@@ -272,6 +274,9 @@ DoublingSpannerResult build_doubling_spanner(
     mark_path_edges();
     for (VertexId v : union_net) scale_mask[static_cast<size_t>(v)] = 0;
     wave[0].diag.pairs_wall_ms = ms_since(pairs_start);
+    // Fused mode thins its seeds from the seed chain, so the union run's
+    // tables are dead once the pairs are walked.
+    if (concurrent) hopset_union = {};
     for (PendingScale& p : wave) result.scales.push_back(p.diag);
     wave.clear();
     wave_net_sum = 0;
@@ -301,11 +306,9 @@ DoublingSpannerResult build_doubling_spanner(
     const double seed_spacing = (1.0 + kNetDelta) * net_params.radius;
     const Clock::time_point net_start = Clock::now();
     const std::vector<VertexId> seeds =
-        prev_net.empty()
-            ? std::vector<VertexId>{}
-            : thin_net_seeds(prev_net,
-                             concurrent ? seed_chain.table : prev_explore.table,
-                             seed_spacing, kept_scratch);
+        prev_net.empty() ? std::vector<VertexId>{}
+                         : thin_net_seeds(prev_net, *seed_tables, seed_spacing,
+                                          kept_scratch);
     const NetResult net = build_net(
         g, net_params,
         ctx.child(0x5343414cULL + static_cast<std::uint64_t>(scale_index)),
@@ -326,117 +329,48 @@ DoublingSpannerResult build_doubling_spanner(
 
     if (net.net.size() <= 1 && scale > mst_w) stop = true;  // single point
 
-    if (concurrent) {
-      // Extend the seed-filter chain to the NEXT scale's spacing before the
-      // 2Δ exploration is even scheduled (the chain is what decouples net
-      // construction from the fused waves).
-      if (!stop) {
-        const Clock::time_point chain_start = Clock::now();
-        const double next_spacing = seed_spacing * (1.0 + eps);
-        if (params.use_hopset) {
-          seed_chain = bounded_multi_source_paths_hopset(
-              explore_substrate.rounded, hopset, net.net, next_spacing,
-              hop_diameter);
-        } else {
-          seed_chain = bounded_multi_source_paths_incremental(
-              explore_substrate, net.net, next_spacing, seed_chain_radius,
-              std::move(seed_chain), ctx.sched);
-          seed_chain_radius = next_spacing;
-        }
-        result.ledger.add(
-            "scale-" + std::to_string(scale_index) + "-seedchain",
-            seed_chain.cost);
-        diag.seedchain_wall_ms = ms_since(chain_start);
+    // Extend the seed-filter chain to the NEXT scale's spacing before the
+    // 2Δ exploration is even scheduled (the chain is what decouples net
+    // construction from the fused waves).
+    if (concurrent && !stop) {
+      const Clock::time_point chain_start = Clock::now();
+      const double next_spacing = seed_spacing * (1.0 + eps);
+      congest::CostStats chain_cost;
+      if (params.use_hopset) {
+        hopset_seed_chain = bounded_multi_source_paths_hopset(
+            explore_substrate.rounded, hopset, net.net, next_spacing,
+            hop_diameter);
+        chain_cost = hopset_seed_chain.cost;
+        seed_tables = &hopset_seed_chain.table;
+      } else {
+        const WaveScale chain_scale{net.net, next_spacing};
+        WaveExploreResult chain = bounded_multi_source_paths_wave(
+            explore_substrate, std::span<const WaveScale>(&chain_scale, 1),
+            std::move(seed_chain), ctx.sched);
+        seed_chain = std::move(chain.state);
+        chain_cost = chain.cost;
+        seed_tables = &seed_chain.table[0];
       }
-      PendingScale pending;
-      pending.scale_index = scale_index;
-      pending.scale = scale;
-      pending.net = net.net;
-      pending.diag = diag;
-      wave_net_sum += net.net.size();
-      wave.push_back(std::move(pending));
-      // Close the wave once it holds enough sources to saturate the
-      // network (or the channel budget): big-net early scales flush in
-      // small groups, the sparse tail rides in wide ones.
-      if (stop || wave.size() >= kMaxWaveScales || wave_net_sum >= size_t(n))
-        flush_wave();
-      prev_net = net.net;
-      continue;
+      result.ledger.add("scale-" + std::to_string(scale_index) + "-seedchain",
+                        chain_cost);
+      diag.seedchain_wall_ms = ms_since(chain_start);
     }
-
-    // --- sequential (reference) path ------------------------------------
-    // 2Δ-bounded multi-source (1+ε̂)-approximate explorations, warm-started
-    // from the previous scale's tables: surviving interior records are
-    // already at their fixed point, so only the boundary shell re-announces
-    // and new net points run fresh explorations. Tables are bit-identical
-    // to a cold run at this radius (see bounded_multisource.h).
-    const Clock::time_point explore_start = Clock::now();
-    BoundedMultiSourceResult explore =
-        params.use_hopset
-            ? bounded_multi_source_paths_hopset(explore_substrate.rounded,
-                                                hopset, net.net, 2.0 * scale,
-                                                hop_diameter)
-            : bounded_multi_source_paths_incremental(
-                  explore_substrate, net.net, 2.0 * scale,
-                  prev_explore_radius, std::move(prev_explore), ctx.sched);
-    diag.explore_wall_ms = ms_since(explore_start);
-    result.ledger.add("scale-" + std::to_string(scale_index) + "-explore",
-                      explore.cost);
-    diag.max_sources_per_vertex = explore.max_sources_per_vertex;
-    diag.explore_records_inherited = explore.records_inherited;
-    diag.explore_shell_announcements = explore.shell_announcements;
-
-    // Connect every net pair discovered within the bound via its reported
-    // path. The discovered pairs with target t are exactly the entries of
-    // t's source table (sources ARE the net points), so scanning each net
-    // target's table visits every pair once — no O(net²) pair probing.
-    // Pass 1 enumerates the discovered pairs straight off the tables,
-    // grouped by source via counting sort. Pass 2 then walks all of one
-    // source's targets consecutively under one memoization epoch:
-    // consecutive walks are what makes the shared stamp array effective
-    // (interleaving sources would overwrite each other's stamps and re-walk
-    // shared prefixes).
-    const Clock::time_point pairs_start = Clock::now();
-    const size_t net_size = net.net.size();
-    for (size_t i = 0; i < net_size; ++i)
-      source_idx[static_cast<size_t>(net.net[i])] =
-          static_cast<std::uint32_t>(i);
-    pair_count.assign(net_size + 1, 0);
-    for (VertexId t : net.net)
-      for (const BoundedSourceEntry& e :
-           explore.table[static_cast<size_t>(t)]) {
-        if (e.source >= t) break;  // entries ascend by source; each pair once
-        ++pair_count[source_idx[static_cast<size_t>(e.source)] + 1];
-      }
-    for (size_t i = 1; i <= net_size; ++i) pair_count[i] += pair_count[i - 1];
-    pair_targets.resize(pair_count[net_size]);
-    pair_fill.assign(pair_count.begin(), pair_count.end() - 1);
-    for (VertexId t : net.net)
-      for (const BoundedSourceEntry& e :
-           explore.table[static_cast<size_t>(t)]) {
-        if (e.source >= t) break;
-        pair_targets[pair_fill[source_idx[static_cast<size_t>(e.source)]]++] =
-            t;
-      }
-    for (size_t i = 0; i < net_size; ++i) {
-      ++epoch;
-      const VertexId s = net.net[i];
-      for (size_t j = pair_count[i]; j < pair_count[i + 1]; ++j) {
-        const bool found = collect_path_edges(
-            explore.table, params.use_hopset ? &hopset : nullptr,
-            pair_targets[j], s, stamp, epoch, path_edges);
-        LN_ASSERT_MSG(found, "discovered pair has no extractable path");
-        ++diag.pairs_connected;
-      }
-    }
-    mark_path_edges();
-    diag.pairs_wall_ms = ms_since(pairs_start);
-    result.scales.push_back(diag);
+    PendingScale pending;
+    pending.scale = scale;
+    pending.net = net.net;
+    pending.diag = diag;
+    wave_net_sum += net.net.size();
+    wave.push_back(std::move(pending));
+    // Close the wave once it holds enough sources to saturate the network
+    // (or the channel budget): big-net early scales flush in small groups,
+    // the sparse tail rides in wide ones. The sequential reference closes
+    // it after every scale.
+    if (!concurrent || stop || wave.size() >= kMaxWaveScales ||
+        wave_net_sum >= size_t(n))
+      flush_wave();
     prev_net = net.net;
-    prev_explore = std::move(explore);
-    prev_explore_radius = 2.0 * scale;
   }
-  if (concurrent) flush_wave();  // scales left when the ladder ran out
+  flush_wave();  // scales left when the ladder ran out
 
   for (EdgeId e = 0; e < g.num_edges(); ++e)
     if (in_spanner[static_cast<size_t>(e)]) result.spanner.push_back(e);

@@ -14,13 +14,15 @@
 // O(log_{1+ε} W) scales; each scale's net is seeded from the previous
 // (finer) net — filtered down to the new scale's separation using a
 // bounded exploration of that net — so the LE-list iterations only process
-// the fringe the seeds fail to cover. Consecutive scales' explorations run
-// fused into concurrent-scale waves (routines/bounded_multisource.h), and
-// each wave's pairs are connected once, with path extraction memoizing
-// shared prefixes per source. RunContext::sched.sequential_scales runs the
-// scales one scheduler pass at a time instead (the reference bench_doubling
-// checks the waves against); the spanner edge set is bit-identical either
-// way.
+// the fringe the seeds fail to cover. Every exploration is a wave of the
+// one exploration kernel (routines/bounded_multisource.h): consecutive
+// scales' 2Δ explorations run fused into concurrent-scale waves, the seed
+// filter reads a chain of short one-scale waves, and each wave's pairs are
+// connected once, with path extraction memoizing shared prefixes per
+// source. RunContext::sched.sequential_scales instead closes the wave after
+// every scale and thins the next seeds from that one-scale wave's tables
+// (the reference bench_doubling checks the fused waves against); the
+// spanner edge set is bit-identical either way.
 //
 // use_hopset switches the explorations to the hopset-accelerated variant
 // (§7.1), bounding Bellman-Ford iterations on deep graphs.
@@ -50,8 +52,11 @@ struct ScaleDiagnostics {
   // previous scale, and how small the seeded fringe was.
   size_t net_seed_points = 0;
   size_t net_active_after_seeding = 0;
-  // Exploration reuse: records carried over from the previous scale's fixed
-  // point, and how few re-announced (the boundary shell).
+  // Exploration reuse, reported on the first scale of each wave (zero in
+  // hopset mode): records carried over from the previous wave's fixed
+  // point, and the per-link offers its boundary shell re-announced in
+  // round 0. Both modes count the same way; the sequential mode's waves
+  // hold one scale each.
   size_t explore_records_inherited = 0;
   size_t explore_shell_announcements = 0;
   // Wall-clock phase breakdown (bench_doubling emits these; they are

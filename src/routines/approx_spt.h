@@ -16,7 +16,6 @@
 // execution instead of re-rounding and re-indexing per phase.
 #pragma once
 
-#include <algorithm>
 #include <span>
 
 #include "congest/bellman_ford.h"
@@ -37,27 +36,9 @@ struct RoundedSubstrate {
   double epsilon;
   WeightedGraph rounded;
   congest::Network network;
-  // Per-vertex max/min incident rounded weight. Max drives the shell test
-  // of the incremental explorations (can a record at v reach past a
-  // radius?); min drives their sender-side pruning (a record whose dist +
-  // min incident weight exceeds the radius cannot improve ANY neighbor, so
-  // announcing it would only produce rejected offers).
-  std::vector<Weight> max_incident_weight;
-  std::vector<Weight> min_incident_weight;
 
   RoundedSubstrate(const WeightedGraph& g, double eps)
-      : epsilon(eps), rounded(round_weights_up(g, eps)), network(rounded) {
-    const size_t n = static_cast<size_t>(rounded.num_vertices());
-    max_incident_weight.assign(n, 0.0);
-    min_incident_weight.assign(n, kInfiniteDistance);
-    for (const Edge& e : rounded.edges()) {
-      const size_t u = static_cast<size_t>(e.u), v = static_cast<size_t>(e.v);
-      max_incident_weight[u] = std::max(max_incident_weight[u], e.w);
-      max_incident_weight[v] = std::max(max_incident_weight[v], e.w);
-      min_incident_weight[u] = std::min(min_incident_weight[u], e.w);
-      min_incident_weight[v] = std::min(min_incident_weight[v], e.w);
-    }
-  }
+      : epsilon(eps), rounded(round_weights_up(g, eps)), network(rounded) {}
   RoundedSubstrate(const RoundedSubstrate&) = delete;
   RoundedSubstrate& operator=(const RoundedSubstrate&) = delete;
 };

@@ -17,7 +17,6 @@ using congest::Message;
 using congest::NodeContext;
 using congest::NodeProgram;
 
-constexpr std::uint32_t kTagBounded = 40;       // reliable: one (source, dist)
 constexpr std::uint32_t kTagBoundedBatch = 41;  // batched (source, dist) pairs
 
 // Records hold hopset edge indices in a 31-bit signed field.
@@ -47,9 +46,9 @@ auto table_find(Table& table, VertexId source) {
 // distance, and among G-edge parents the smallest (parent, edge) pair wins
 // (hopset records canonicalize among themselves in the Bellman-Ford loop
 // below). The final table is therefore the pointwise minimum over all
-// offers — independent of arrival order, hence bit-identical across the
-// batched and reliable encodings, scheduler modes, and the per-scale/
-// wave-fused groupings of the doubling pipeline.
+// offers — independent of arrival order, hence bit-identical across
+// scheduler modes, reordered inboxes, and the per-scale/wave-fused
+// groupings of the doubling pipeline.
 bool offer_g_edge(BoundedSourceEntry& rec, Weight cand, VertexId from,
                   EdgeId edge) {
   const bool improved = cand < rec.dist;
@@ -86,15 +85,6 @@ bool seed_self_record(SourceTable& table, VertexId source) {
   e.dist = 0.0;
   table.insert(it, e);
   return true;
-}
-
-// Charges the tombstone flood of retired sources: one round in which every
-// dropped record costs one single-word message.
-void charge_tombstones(congest::CostStats& cost, std::uint64_t pruned) {
-  if (pruned == 0) return;
-  cost.rounds += 1;
-  cost.messages += pruned;
-  cost.words += pruned;
 }
 
 // Relaxation into a source-sorted table (the hopset Bellman-Ford loop):
@@ -218,111 +208,15 @@ void merge_appended(SourceTable& table, size_t sorted_len) {
   std::inplace_merge(table.begin(), mid, table.end(), kBySource);
 }
 
-class BoundedProgram final : public NodeProgram {
- public:
-  // `initial_pending`: sorted source ids announced in round 0 — {self} for
-  // a cold source, the boundary-shell records for a warm start.
-  // `min_incident`: smallest incident rounded weight (sender-side pruning).
-  // `reliable` selects the one-source-per-round encoding shipped through
-  // the reliable transport; otherwise announcements are batched.
-  BoundedProgram(VertexId self, Weight radius, Weight min_incident,
-                 bool reliable, std::vector<SourceTable>& state,
-                 std::vector<VertexId> initial_pending)
-      : self_(self),
-        radius_(radius),
-        min_incident_(min_incident),
-        reliable_(reliable),
-        state_(state),
-        sorted_len_(state[static_cast<size_t>(self)].size()),
-        pending_(std::move(initial_pending)) {}
-
-  void on_round(NodeContext& ctx, std::span<const Delivery> inbox) override {
-    SourceTable& table = state_[static_cast<size_t>(self_)];
-    if (index_.empty()) {
-      index_.reset(table.size());
-      index_.add(table);
-    }
-    for (const Delivery& d : inbox) {
-      LN_ASSERT(d.msg.tag == kTagBounded || d.msg.tag == kTagBoundedBatch);
-      const Weight w = ctx.network().graph().edge(d.edge).w;
-      relax_offers(table, index_, ctx.payload(d.msg), w, radius_, d.from,
-                   d.edge, [this](VertexId s) { mark_pending(s); });
-    }
-    if (pending_.empty()) return;
-    if (!reliable_) {
-      std::sort(pending_.begin(), pending_.end());
-      pending_.erase(std::unique(pending_.begin(), pending_.end()),
-                     pending_.end());
-      // Announce every improved source at once, one multi-word flood whose
-      // payload all deg(v) messages share. A record whose dist + min
-      // incident weight exceeds the radius cannot improve any neighbor
-      // (every offer would be rejected by the radius check), so it is
-      // pruned here instead of flooded — the ball's boundary shell stays
-      // silent.
-      words_buf_.clear();
-      for (VertexId s : pending_) {
-        const Weight dist = table[index_.at(s)].dist;
-        if (dist + min_incident_ > radius_) continue;
-        words_buf_.push_back(static_cast<std::uint64_t>(s));
-        words_buf_.push_back(Message::encode_weight(dist));
-      }
-      pending_.clear();
-      if (!words_buf_.empty()) ctx.broadcast_words(kTagBoundedBatch, words_buf_);
-    } else {
-      // The transport frames single messages, so the reliable encoding
-      // pipelines one source per round, smallest id first; the canonical
-      // offer_g_edge fixed point absorbs whatever delay/order the
-      // retransmissions introduce.
-      const VertexId s = pending_.front();
-      pending_.erase(pending_.begin());
-      const Message msg(kTagBounded,
-                        {static_cast<std::uint64_t>(s),
-                         Message::encode_weight(table[index_.at(s)].dist)});
-      const int degree = static_cast<int>(ctx.links().size());
-      for (int i = 0; i < degree; ++i) ctx.reliable_send_on_link(i, msg);
-    }
-  }
-
-  bool quiescent() const override { return pending_.empty(); }
-
-  // Called once the run is over: restores the table's source order.
-  void seal() {
-    merge_appended(state_[static_cast<size_t>(self_)], sorted_len_);
-  }
-
- private:
-  void mark_pending(VertexId source) {
-    // Batched announcements sort + dedupe the list right before packing, so
-    // marks are plain appends; the reliable encoding pops the smallest id
-    // per round and needs the sorted-unique invariant maintained eagerly.
-    if (!reliable_) {
-      pending_.push_back(source);
-      return;
-    }
-    auto it = std::lower_bound(pending_.begin(), pending_.end(), source);
-    if (it == pending_.end() || *it != source) pending_.insert(it, source);
-  }
-
-  VertexId self_;
-  Weight radius_;
-  Weight min_incident_;
-  bool reliable_;
-  std::vector<SourceTable>& state_;
-  size_t sorted_len_;  // table size when the run started
-  SourceIndex index_;  // built on the first invocation
-  std::vector<VertexId> pending_;  // source ids awaiting announcement
-  std::vector<std::uint64_t> words_buf_;
-};
-
 // Concurrent-scale (wave) program: channel c's records live in their own
 // per-vertex table and travel as channel-tagged batched floods, so several
 // scales' explorations share one scheduler execution without mixing state.
 // Round 0 re-announces only the per-link filtered shell (see the wave API
 // comment in the header); later rounds announce each channel's improved
-// records exactly like BoundedProgram does for its single flow. A source's
-// records live only in its owning channel, and every offer travels on that
-// channel, so one index per vertex maps each source to its position in the
-// owning channel's table.
+// records on every link they can still improve. A source's records live
+// only in its owning channel, and every offer travels on that channel, so
+// one index per vertex maps each source to its position in the owning
+// channel's table.
 class WaveProgram final : public NodeProgram {
  public:
   WaveProgram(VertexId self, const std::vector<Weight>& channel_radius,
@@ -495,128 +389,18 @@ void finalize_tables(BoundedMultiSourceResult& result) {
         std::max(result.max_sources_per_vertex, table.size());
 }
 
-// Shared scheduler harness of the cold and incremental entry points:
-// `result.table` is pre-seeded, `pending0[v]` is what v announces first.
-void run_bounded_kernel(const RoundedSubstrate& substrate, Weight radius,
-                        std::vector<std::vector<VertexId>> pending0,
-                        congest::SchedulerOptions sched,
-                        BoundedMultiSourceResult& result,
-                        bool reliable = false) {
-  const int n = substrate.rounded.num_vertices();
-  // The batched encoding is multi-word by design; its honest bandwidth
-  // lives in CostStats::words and max_edge_load, so the one-message strict
-  // check must not abort it. Reliable transport frames need the relaxed
-  // budget too.
-  sched.strict_congest = false;
-  // The transport's per-link state machine is serial; parallel execution
-  // keeps its determinism contract only for raw-scheduler runs.
-  if (reliable) sched.threads = 1;
-
-  std::vector<std::unique_ptr<NodeProgram>> programs;
-  programs.reserve(static_cast<size_t>(n));
-  for (VertexId v = 0; v < n; ++v)
-    programs.push_back(std::make_unique<BoundedProgram>(
-        v, radius, substrate.min_incident_weight[static_cast<size_t>(v)],
-        reliable, result.table,
-        std::move(pending0[static_cast<size_t>(v)])));
-  congest::Scheduler scheduler(substrate.network, std::move(programs), sched);
-  result.cost = scheduler.run();
-  for (VertexId v = 0; v < n; ++v)
-    static_cast<BoundedProgram&>(scheduler.program(v)).seal();
-  finalize_tables(result);
-}
-
-// Cold-start seeding: zero-distance records at the sources, each announced
-// in round 0.
-std::vector<std::vector<VertexId>> seed_cold_sources(
-    std::span<const VertexId> sources, int n, BoundedMultiSourceResult& result) {
-  result.table.resize(static_cast<size_t>(n));
-  std::vector<std::vector<VertexId>> pending0(static_cast<size_t>(n));
-  for (VertexId s : sources) {
-    LN_REQUIRE(s >= 0 && s < n, "source out of range");
-    if (seed_self_record(result.table[static_cast<size_t>(s)], s))
-      pending0[static_cast<size_t>(s)].push_back(s);
-  }
-  return pending0;
-}
-
 }  // namespace
 
 BoundedMultiSourceResult bounded_multi_source_paths(
     const RoundedSubstrate& substrate, std::span<const VertexId> sources,
     Weight radius, congest::SchedulerOptions sched) {
+  const WaveScale scale{sources, radius};
+  WaveExploreResult wave = bounded_multi_source_paths_wave(
+      substrate, std::span<const WaveScale>(&scale, 1), {}, sched);
   BoundedMultiSourceResult result;
-  auto pending0 =
-      seed_cold_sources(sources, substrate.rounded.num_vertices(), result);
-  run_bounded_kernel(substrate, radius, std::move(pending0), sched, result);
-  return result;
-}
-
-BoundedMultiSourceResult bounded_multi_source_paths_reliable(
-    const RoundedSubstrate& substrate, std::span<const VertexId> sources,
-    Weight radius, congest::SchedulerOptions sched) {
-  BoundedMultiSourceResult result;
-  auto pending0 =
-      seed_cold_sources(sources, substrate.rounded.num_vertices(), result);
-  run_bounded_kernel(substrate, radius, std::move(pending0), sched, result,
-                     /*reliable=*/true);
-  return result;
-}
-
-BoundedMultiSourceResult bounded_multi_source_paths_incremental(
-    const RoundedSubstrate& substrate, std::span<const VertexId> sources,
-    Weight radius, Weight prev_radius, BoundedMultiSourceResult prev,
-    congest::SchedulerOptions sched) {
-  if (prev.table.empty())
-    return bounded_multi_source_paths(substrate, sources, radius, sched);
-  const WeightedGraph& h = substrate.rounded;
-  const int n = h.num_vertices();
-  LN_REQUIRE(prev.table.size() == static_cast<size_t>(n),
-             "previous tables belong to a different graph");
-  LN_REQUIRE(prev_radius <= radius,
-             "incremental exploration can only grow the radius");
-
-  std::vector<char> is_source(static_cast<size_t>(n), 0);
-  for (VertexId s : sources) {
-    LN_REQUIRE(s >= 0 && s < n, "source out of range");
-    is_source[static_cast<size_t>(s)] = 1;
-  }
-
-  BoundedMultiSourceResult result;
-  result.table = std::move(prev.table);
-
-  // Drop records of retired sources (each dropped record is one tombstone
-  // word of the dead source's flood — charged below).
-  std::uint64_t pruned = 0;
-  for (SourceTable& table : result.table) {
-    const size_t before = table.size();
-    std::erase_if(table, [&is_source](const BoundedSourceEntry& e) {
-      return !is_source[static_cast<size_t>(e.source)];
-    });
-    pruned += before - table.size();
-  }
-
-  // Round-0 announcements: the boundary shell — records that could reach
-  // past the previous radius over some incident link, i.e. exactly the
-  // offers the previous run's radius check pruned — plus new sources.
-  std::vector<std::vector<VertexId>> pending0(static_cast<size_t>(n));
-  for (VertexId v = 0; v < n; ++v) {
-    const Weight reach = substrate.max_incident_weight[static_cast<size_t>(v)];
-    result.records_inherited += result.table[static_cast<size_t>(v)].size();
-    for (const BoundedSourceEntry& e : result.table[static_cast<size_t>(v)])
-      if (e.dist + reach > prev_radius) {
-        pending0[static_cast<size_t>(v)].push_back(e.source);
-        ++result.shell_announcements;
-      }
-  }
-  for (VertexId s : sources) {
-    if (!seed_self_record(result.table[static_cast<size_t>(s)], s)) continue;
-    std::vector<VertexId>& p = pending0[static_cast<size_t>(s)];
-    p.insert(std::lower_bound(p.begin(), p.end(), s), s);
-  }
-
-  run_bounded_kernel(substrate, radius, std::move(pending0), sched, result);
-  charge_tombstones(result.cost, pruned);
+  result.table = std::move(wave.state.table[0]);
+  result.cost = wave.cost;
+  finalize_tables(result);
   return result;
 }
 
@@ -653,9 +437,8 @@ WaveExploreResult bounded_multi_source_paths_wave(
   state.explored_radius.resize(static_cast<size_t>(n), Weight{-1.0});
 
   // Route the previous wave's surviving records into the new channel
-  // partition; retired sources' records become tombstones (charged below,
-  // like the incremental entry point). A surviving self record is what
-  // classifies its source as warm.
+  // partition; retired sources' records become tombstones (charged below).
+  // A surviving self record is what classifies its source as warm.
   std::vector<char> seen_prev(static_cast<size_t>(n), 0);
   std::uint64_t pruned = 0;
   if (!prev.table.empty()) {
@@ -728,7 +511,13 @@ WaveExploreResult bounded_multi_source_paths_wave(
           channel_radius[static_cast<size_t>(ch)];
   }
 
-  charge_tombstones(result.cost, pruned);
+  // The tombstone flood of retired sources: one round in which every
+  // dropped record costs one single-word message.
+  if (pruned != 0) {
+    result.cost.rounds += 1;
+    result.cost.messages += pruned;
+    result.cost.words += pruned;
+  }
   result.pruned_records = pruned;
   result.state = std::move(state);
   return result;

@@ -12,25 +12,23 @@
 // both memory and rounds — the max_sources_per_vertex field is the per-run
 // certificate of that argument.
 //
-// Two kernel encodings:
-//  - Batched (the cold, incremental and wave entry points): each round a
-//    vertex announces ALL sources whose distance improved, packed as
-//    (source, dist) pairs into one multi-word message per link
-//    (NodeContext::send_words_on_link). Accounting stays honest —
-//    CostStats::words counts every packed word and max_edge_load the
-//    ceil(words/kMaxWords) bandwidth multiple — so the batched ledger states
-//    exactly how far the encoding stretches the one-message budget
-//    (strict_congest is force-disabled for that reason).
-//  - Reliable (_reliable only): one source popped per round, one 2-word
-//    message per link (plus the transport's acks), because the reliable
-//    transport frames single messages.
-// Both encodings converge to the same fixed point: every record holds the
+// One kernel program and one encoding. Each round a vertex announces ALL
+// sources whose distance improved, packed as (source, dist) pairs into one
+// multi-word message per link (NodeContext::send_words_on_link), and each
+// link's payload keeps only the offers its far end would accept (dist +
+// w(link) ≤ radius). Accounting stays honest — CostStats::words counts
+// every packed word and max_edge_load the ceil(words/kMaxWords) bandwidth
+// multiple — so the ledger states exactly how far the encoding stretches
+// the one-message budget (strict_congest is force-disabled for that
+// reason). The cold entry point is a one-scale wave.
+//
+// Every run converges to the same fixed point: every record holds the
 // bounded (1+ε)-rounded distance and, among the neighbors that realize it,
 // the smallest (parent, edge) pair (see offer_g_edge). Tables, parents and
-// extracted paths are therefore bit-identical across encodings, thread
-// counts, fault-reordered inboxes, warm starts and wave slices; the tests
-// check every one of them against a sequential oracle (one bounded
-// Dijkstra search per source plus that tie-break).
+// extracted paths are therefore bit-identical across thread counts,
+// fault-reordered inboxes, warm starts and wave slices; the tests check
+// every one of them against a sequential oracle (one bounded Dijkstra
+// search per source plus that tie-break).
 //
 // The optional hopset mode reproduces the paper's acceleration: delta-list
 // Bellman-Ford over G interleaved with global exchanges of hub estimates
@@ -67,74 +65,45 @@ struct BoundedMultiSourceResult {
   // d_H(source, v) ≤ radius (H = (1+ε)-rounded weights).
   std::vector<std::vector<BoundedSourceEntry>> table;
   size_t max_sources_per_vertex = 0;
-  // Cross-scale reuse (incremental entry point; zero on cold runs): records
-  // carried over from the previous scale's fixed point, and how few of them
-  // sat on the boundary shell and had to re-announce in round 0.
-  size_t records_inherited = 0;
-  size_t shell_announcements = 0;
   congest::CostStats cost;
 };
 
-// Kernel (message-level) implementation, distances w.r.t. substrate.rounded
-// (the doubling pipeline hoists one substrate over all O(log W) scales).
-// `sched` pins the scheduler mode; tables are identical in every mode.
+// Cold exploration of `sources` to `radius`, distances w.r.t.
+// substrate.rounded: a one-scale wave (below) from an empty state. `sched`
+// pins the scheduler mode; tables are identical in every mode.
 BoundedMultiSourceResult bounded_multi_source_paths(
     const RoundedSubstrate& substrate, std::span<const VertexId> sources,
     Weight radius, congest::SchedulerOptions sched = {});
 
-// Retransmit-aware variant for faulty networks: the one-source-per-round
-// encoding with every announcement shipped through the reliable transport
-// (congest/reliable.h). Because relaxation keeps the canonical fixed point
-// regardless of offer arrival order, the tables are bit-identical to a
-// fault-free run whenever every node stays reachable — drops only cost
-// retransmissions, which the ledger reports. Forces strict_congest = false
-// and threads = 1 (the transport's per-link state machine is serial).
-BoundedMultiSourceResult bounded_multi_source_paths_reliable(
-    const RoundedSubstrate& substrate, std::span<const VertexId> sources,
-    Weight radius, congest::SchedulerOptions sched = {});
-
-// Incremental (cross-scale) exploration: `prev` must be this function's (or
-// the cold variant's) result on the same substrate at `prev_radius` ≤
-// `radius`. Records for sources no longer in `sources` are pruned (charged
-// one word per dropped record — the dead source's tombstone flood);
-// surviving interior records are already at their fixed point and stay
-// silent. Only the boundary shell re-announces (records that could reach
-// past `prev_radius` over some incident link — exactly the offers the old
-// radius pruned), and brand-new sources start fresh explorations. The
-// resulting tables are bit-identical to a cold run at `radius`: distances
-// because bounded relaxations prune prefix-monotonically, parents because
-// the shell re-offers are the only offers the previous fixed point never
-// saw and records are canonicalized (see offer_g_edge). Pass an empty `prev`
-// for a cold start.
-BoundedMultiSourceResult bounded_multi_source_paths_incremental(
-    const RoundedSubstrate& substrate, std::span<const VertexId> sources,
-    Weight radius, Weight prev_radius, BoundedMultiSourceResult prev,
-    congest::SchedulerOptions sched = {});
-
 // ---- Concurrent-scale (wave) explorations -------------------------------
 //
-// The doubling pipeline's concurrent mode fuses several consecutive scales'
-// explorations into ONE scheduler execution: scale k of the wave becomes
-// message channel k (congest/message.h), every vertex keeps per-channel
-// source tables, and congestion is accounted per channel. A source active
-// at several of the wave's scales is OWNED by the LAST scale where it is
-// active and explored exactly once, to that scale's radius; a smaller
-// scale's table is the (sources, radius)-slice of the owning channels'
-// tables. Slicing is exact because the tables are canonical fixed points:
-// truncating the fixed point at radius R to entries with dist ≤ r < R
-// yields precisely the fixed point at r, distances by prefix-monotone
-// pruning and parents because canonical parents are radius-independent
-// (every parent chain descends in distance, see offer_g_edge).
+// The doubling pipeline fuses several consecutive scales' explorations
+// into ONE scheduler execution, a wave (its seed-filter chain and the
+// sequential_scales reference run one-scale waves): scale k of the wave
+// becomes message channel k (congest/message.h), every vertex keeps
+// per-channel source tables, and congestion is accounted per channel. A
+// source active at several of the wave's scales is OWNED by the LAST scale
+// where it is active and explored exactly once, to that scale's radius; a
+// smaller scale's table is the (sources, radius)-slice of the owning
+// channels' tables. Slicing is exact because the tables are canonical
+// fixed points: truncating the fixed point at radius R to entries with
+// dist ≤ r < R yields precisely the fixed point at r, distances by
+// prefix-monotone pruning and parents because canonical parents are
+// radius-independent (every parent chain descends in distance, see
+// offer_g_edge).
 //
-// Warm starts carry over between waves through WaveExploreState: surviving
-// records stay silent except the boundary shell, and the shell re-offers
-// are filtered PER LINK — a record (v, s, d) re-announces on link ℓ only if
-// d + w(ℓ) lands in (explored_radius[s], radius_of_owner(s)]. Offers below
-// the source's previously explored radius were already made (and
-// canonicalized) by the run that produced the record, offers above the
-// owner's radius would be rejected by the receiver, so both filters
-// preserve bit-identity while eliminating the bulk of the shell broadcast
-// volume that the per-scale incremental pipeline re-pays at every scale.
+// Warm starts carry over between waves through WaveExploreState: records of
+// sources absent from the new wave are dropped (charged one word each, the
+// retired source's tombstone flood), surviving records stay silent except
+// the boundary shell, and the shell re-offers are filtered PER LINK — a
+// record (v, s, d) re-announces on link ℓ only if d + w(ℓ) lands in
+// (explored_radius[s], radius_of_owner(s)]. Offers below the source's
+// previously explored radius were already made (and canonicalized) by the
+// run that produced the record, offers above the owner's radius would be
+// rejected by the receiver, so both filters preserve bit-identity: the
+// tables equal a cold run's, distances because bounded relaxations prune
+// prefix-monotonically, parents because records are canonicalized (see
+// offer_g_edge).
 
 struct WaveScale {
   std::span<const VertexId> sources;  // the scale's net, ascending ids

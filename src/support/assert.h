@@ -13,10 +13,23 @@
 
 namespace lightnet {
 
+// `file` from its last "src/" path component on, so a message names the
+// same file whichever directory the checkout was built in (a path with no
+// such component is kept whole).
+inline const char* source_relative(const char* file) {
+  const char* tail = file;
+  for (const char* p = file; *p != '\0'; ++p)
+    if ((p == file || p[-1] == '/') && p[0] == 's' && p[1] == 'r' &&
+        p[2] == 'c' && p[3] == '/')
+      tail = p;
+  return tail;
+}
+
 [[noreturn]] inline void assertion_failure(const char* expr, const char* file,
                                            int line, const std::string& msg) {
   std::ostringstream os;
-  os << "LN_ASSERT failed: " << expr << " at " << file << ":" << line;
+  os << "LN_ASSERT failed: " << expr << " at " << source_relative(file) << ":"
+     << line;
   if (!msg.empty()) os << " — " << msg;
   throw std::logic_error(os.str());
 }

@@ -1,8 +1,8 @@
-// The batched exploration kernel (multi-word frontier broadcasts, sender-side
-// radius pruning, cross-scale warm starts) against the sequential oracle of
-// tests/exploration_oracle.h: cold runs, warm starts that keep, retire and
-// add sources, extracted paths, and the memoized path union the doubling
-// pipeline walks.
+// The batched exploration kernel (multi-word per-link announcements,
+// sender-side radius filtering) against the sequential oracle of
+// tests/exploration_oracle.h: cold runs, extracted paths, and the memoized
+// path union the doubling pipeline walks. Warm starts are covered by the
+// wave tests (wave_explore_test, exploration_oracle_test).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -61,38 +61,6 @@ TEST(BoundedBatched, ExtractedPathsMatchOracle) {
       if (v != e.source) EXPECT_NEAR(sum, e.dist, testing::kTol);
     }
   }
-}
-
-TEST(BoundedBatched, IncrementalWarmStartMatchesOracle) {
-  for (std::uint64_t seed : {2u, 9u}) {
-    for (const WeightedGraph& g : encoding_zoo(seed)) {
-      const RoundedSubstrate substrate(g, 0.1);
-      std::vector<VertexId> sources;
-      for (VertexId v = 0; v < g.num_vertices(); v += 5) sources.push_back(v);
-      const Weight r1 = 3.0, r2 = 6.5;
-      BoundedMultiSourceResult warm_base =
-          bounded_multi_source_paths(substrate, sources, r1);
-      const BoundedMultiSourceResult warm =
-          bounded_multi_source_paths_incremental(substrate, sources, r2, r1,
-                                                 std::move(warm_base));
-      expect_matches_oracle(warm, substrate.rounded, sources, r2, "warm");
-      EXPECT_GT(warm.records_inherited, 0u);
-      // The interior of the r1 balls stays silent.
-      EXPECT_LE(warm.shell_announcements, warm.records_inherited);
-    }
-  }
-}
-
-TEST(BoundedBatched, IncrementalRetiresAndAddsSources) {
-  const WeightedGraph g = grid(6, 6, /*perturb=*/true, 4);
-  const RoundedSubstrate substrate(g, 0.1);
-  const std::vector<VertexId> before{0, 7, 14, 21, 28, 35};
-  const std::vector<VertexId> after{3, 7, 21, 30, 35};  // 3 and 30 are new
-  BoundedMultiSourceResult prev =
-      bounded_multi_source_paths(substrate, before, 4.0);
-  const BoundedMultiSourceResult warm = bounded_multi_source_paths_incremental(
-      substrate, after, 6.0, 4.0, std::move(prev));
-  expect_matches_oracle(warm, substrate.rounded, after, 6.0, "warm");
 }
 
 TEST(BoundedBatched, CollectPathEdgesUnionMatchesExtractPath) {

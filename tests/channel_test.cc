@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "api/registry.h"
@@ -43,9 +44,9 @@ struct Seen {
   std::uint64_t word;
 };
 
-// Round 0 broadcasts on channel 0, round 1 on channel 1 (alternating rounds
-// keep each edge at load 1 under strict CONGEST). Every delivery is logged
-// through the receiver's per-channel dispatch.
+// Round 0 sends on every link on channel 0, round 1 on channel 1
+// (alternating rounds keep each edge at load 1 under strict CONGEST). Every
+// delivery is logged through the receiver's per-channel dispatch.
 class TwoChannelProgram final : public NodeProgram {
  public:
   TwoChannelProgram(VertexId self, std::vector<Seen>& log)
@@ -62,11 +63,11 @@ class TwoChannelProgram final : public NodeProgram {
     }
     if (ctx.round() == 0) {
       const std::uint64_t payload[] = {static_cast<std::uint64_t>(self_)};
-      ctx.broadcast_words(kTagA, payload, /*channel=*/0);
+      send_on_every_link(ctx, kTagA, payload, /*channel=*/0);
     } else if (ctx.round() == 1) {
       const std::uint64_t payload[] = {kChannelStride +
                                        static_cast<std::uint64_t>(self_)};
-      ctx.broadcast_words(kTagB, payload, /*channel=*/1);
+      send_on_every_link(ctx, kTagB, payload, /*channel=*/1);
       done_ = true;
     }
   }
@@ -74,6 +75,13 @@ class TwoChannelProgram final : public NodeProgram {
   bool quiescent() const override { return done_; }
 
  private:
+  static void send_on_every_link(NodeContext& ctx, std::uint32_t tag,
+                                 std::span<const std::uint64_t> payload,
+                                 std::uint8_t channel) {
+    for (size_t li = 0; li < ctx.links().size(); ++li)
+      ctx.send_words_on_link(static_cast<int>(li), tag, payload, channel);
+  }
+
   VertexId self_;
   std::vector<Seen>& log_;
   bool done_ = false;
@@ -94,7 +102,7 @@ TEST(ChannelIsolation, TaggedPayloadsNeverCrossChannels) {
   Scheduler scheduler(net, std::move(programs), options);
   const congest::CostStats cost = scheduler.run();
 
-  // Every broadcast reaches both endpoints of every edge, once per round.
+  // Every round's sends reach both endpoints of every edge, once per round.
   ASSERT_EQ(log.size(), 4 * m);
   std::uint64_t seen_per_channel[2] = {0, 0};
   for (const Seen& s : log) {

@@ -2,9 +2,10 @@
 // (tests/exploration_oracle.h): cold runs over the test zoos and the n=256
 // scenario families at three rounding slacks, then the order-independence
 // cases — inboxes permuted by a reorder-only fault plan, and four worker
-// threads — for the batched kernel with its warm starts and for two
-// chained concurrent-scale waves. The canonical fixed point makes every
-// one of them reproduce the oracle's tables bit for bit.
+// threads — for cold runs and for chained waves with warm starts: two
+// two-scale waves, and two one-scale waves shaped like the doubling
+// pipeline's seed-filter chain. The canonical fixed point makes every one
+// of them reproduce the oracle's tables bit for bit.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -122,25 +123,12 @@ TEST(ExplorationOracle, ReorderedAndThreadedKernelMatchesOracle) {
   for (const auto& [name, g] : scenario_zoo()) {
     const RoundedSubstrate substrate(g, 0.1);
     const WeightedGraph& h = substrate.rounded;
-    const int n = h.num_vertices();
-    const Weight r1 = probe_radius(h), r2 = 1.5 * r1;
-    // The warm start keeps every other source, retires the rest and adds
-    // as many new ones.
-    const std::vector<VertexId> first = every_kth(n, 4);
-    std::vector<VertexId> second;
-    for (VertexId v = 0; v < n; ++v)
-      if (v % 8 == 0 || v % 8 == 2) second.push_back(v);
-    for (const Mode& mode : reordering_modes()) {
-      const std::string context = name + "/" + mode.name;
-      BoundedMultiSourceResult cold =
-          bounded_multi_source_paths(substrate, first, r1, mode.sched);
-      expect_matches_oracle(cold, h, first, r1, context + "/cold");
-      const BoundedMultiSourceResult warm =
-          bounded_multi_source_paths_incremental(substrate, second, r2, r1,
-                                                 std::move(cold), mode.sched);
-      expect_matches_oracle(warm, h, second, r2, context + "/warm");
-      EXPECT_GT(warm.records_inherited, 0u) << context;
-    }
+    const std::vector<VertexId> sources = every_kth(h.num_vertices(), 4);
+    const Weight radius = probe_radius(h);
+    for (const Mode& mode : reordering_modes())
+      expect_matches_oracle(
+          bounded_multi_source_paths(substrate, sources, radius, mode.sched),
+          h, sources, radius, name + "/" + mode.name + "/cold");
   }
 }
 
@@ -150,26 +138,37 @@ TEST(ExplorationOracle, ReorderedAndThreadedWavesMatchOracle) {
     const WeightedGraph& h = substrate.rounded;
     const int n = h.num_vertices();
     const Weight r = probe_radius(h);
-    // Wave B keeps some of wave A's sources (warm), retires the rest and
-    // adds new ones (cold).
+    // In every chain, wave B keeps some of wave A's sources (warm), retires
+    // the rest and adds new ones (cold).
     const std::vector<std::vector<VertexId>> nets_a = {every_kth(n, 2),
                                                        every_kth(n, 4)};
     const std::vector<std::vector<VertexId>> nets_b = {every_kth(n, 8),
                                                        every_kth(n, 12, 3)};
-    const std::vector<WaveScale> wave_a = {{nets_a[0], 0.5 * r},
-                                           {nets_a[1], r}};
-    const std::vector<WaveScale> wave_b = {{nets_b[0], 1.25 * r},
-                                           {nets_b[1], 1.5 * r}};
-    for (const Mode& mode : reordering_modes()) {
-      const std::string context = name + "/" + mode.name;
-      WaveExploreResult a = bounded_multi_source_paths_wave(
-          substrate, wave_a, WaveExploreState{}, mode.sched);
-      expect_wave_matches_oracle(a.state, h, wave_a, context + "/wave A");
-      const WaveExploreResult b = bounded_multi_source_paths_wave(
-          substrate, wave_b, std::move(a.state), mode.sched);
-      expect_wave_matches_oracle(b.state, h, wave_b, context + "/wave B");
-      EXPECT_GT(b.records_inherited, 0u) << context;
-      EXPECT_GT(b.pruned_records, 0u) << context;
+    // The seed-chain shape: one scale per wave. The second net keeps every
+    // other source of the first and adds as many new ones.
+    std::vector<VertexId> chain_b;
+    for (VertexId v = 0; v < n; ++v)
+      if (v % 8 == 0 || v % 8 == 2) chain_b.push_back(v);
+    struct Chain {
+      std::string name;
+      std::vector<WaveScale> a, b;
+    };
+    const std::vector<Chain> chains = {
+        {"two-scale", {{nets_a[0], 0.5 * r}, {nets_a[1], r}},
+         {{nets_b[0], 1.25 * r}, {nets_b[1], 1.5 * r}}},
+        {"one-scale", {{nets_a[1], r}}, {{chain_b, 1.5 * r}}}};
+    for (const Chain& chain : chains) {
+      for (const Mode& mode : reordering_modes()) {
+        const std::string context = name + "/" + chain.name + "/" + mode.name;
+        WaveExploreResult a = bounded_multi_source_paths_wave(
+            substrate, chain.a, WaveExploreState{}, mode.sched);
+        expect_wave_matches_oracle(a.state, h, chain.a, context + "/wave A");
+        const WaveExploreResult b = bounded_multi_source_paths_wave(
+            substrate, chain.b, std::move(a.state), mode.sched);
+        expect_wave_matches_oracle(b.state, h, chain.b, context + "/wave B");
+        EXPECT_GT(b.records_inherited, 0u) << context;
+        EXPECT_GT(b.pruned_records, 0u) << context;
+      }
     }
   }
 }

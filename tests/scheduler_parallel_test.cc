@@ -146,9 +146,9 @@ TEST(ParallelScheduler, FaultPlanBitIdenticalAcrossThreadCounts) {
 }
 
 // Batched multi-word payloads: parallel staging packs the lane id into the
-// ext offset's top bits; the bounded multi-source kernel uses both
-// send_words_on_link and broadcast_words, so tables equal to the
-// sequential oracle's prove payloads survive the lane arena round-trip.
+// ext offset's top bits; the bounded multi-source kernel ships its offers
+// with send_words_on_link, so tables equal to the sequential oracle's
+// prove payloads survive the lane arena round-trip.
 TEST(ParallelScheduler, BatchedPayloadsBitIdenticalAcrossThreadCounts) {
   const RoundedSubstrate substrate(
       erdos_renyi(48, 0.15, WeightLaw::kUniform, 30.0, 23), 0.25);

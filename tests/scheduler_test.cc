@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "graph/generators.h"
 #include "tests/test_util.h"
@@ -82,6 +83,28 @@ class FloodProgram final : public NodeProgram {
  private:
   VertexId self_;
   bool done_ = false;
+};
+
+// Vertex 0 ships one `width`-word batch down each of its links in each of
+// the first `rounds` rounds.
+class WideBatchProgram final : public NodeProgram {
+ public:
+  WideBatchProgram(VertexId self, size_t width, int rounds)
+      : self_(self), width_(width), rounds_(rounds) {}
+  void on_round(NodeContext& ctx, std::span<const Delivery>) override {
+    if (self_ != 0 || sent_ >= rounds_) return;
+    const std::vector<std::uint64_t> words(width_, 7);
+    for (size_t li = 0; li < ctx.links().size(); ++li)
+      ctx.send_words_on_link(static_cast<int>(li), kTagPing, words);
+    ++sent_;
+  }
+  bool quiescent() const override { return self_ != 0 || sent_ >= rounds_; }
+
+ private:
+  VertexId self_;
+  size_t width_;
+  int rounds_;
+  int sent_ = 0;
 };
 
 WeightedGraph path4() { return path_graph(4, WeightLaw::kUnit, 1.0, 1); }
@@ -242,6 +265,39 @@ TEST(Scheduler, ScratchAdoptionIsBitIdenticalAndReusesCapacity) {
     EXPECT_EQ(cost.words, plain_cost.words);
     EXPECT_EQ(cost.max_edge_load, plain_cost.max_edge_load);
   }
+}
+
+// The batched-payload arenas travel between runs in the scratch pool, so
+// their capacities must not depend on which runs came first: a small run
+// that leaves a few hundred words of capacity in both arenas, then a large
+// one, ends with the same stage arena as the large run alone. Each run
+// hands back the arena its round 0 filled as the stage arena, so the next
+// run's round 0 reuses it.
+TEST(Scheduler, WordArenasDoNotDependOnEarlierRuns) {
+  const WeightedGraph g = star_graph(11, WeightLaw::kUnit, 1.0, 1);
+  const auto run = [&](SchedulerScratch& scratch, size_t width, int rounds) {
+    Network net(g);
+    std::vector<std::unique_ptr<NodeProgram>> programs;
+    for (VertexId v = 0; v < 11; ++v)
+      programs.push_back(std::make_unique<WideBatchProgram>(v, width, rounds));
+    SchedulerOptions options;
+    options.strict_congest = false;  // batches wider than one message
+    options.scratch = &scratch;
+    // The arenas return to the pool when the scheduler is destroyed.
+    const CostStats cost =
+        Scheduler(net, std::move(programs), options).run();
+    EXPECT_EQ(cost.words, 10 * width * static_cast<size_t>(rounds));
+  };
+  SchedulerScratch alone;
+  run(alone, 100, 1);  // 1000 words in one round
+  EXPECT_GE(alone.stage_words.capacity(), 1000u);
+  EXPECT_EQ(alone.deliver_words.capacity(), 0u);
+
+  SchedulerScratch warmed;
+  run(warmed, 35, 2);  // 350 words in each of two rounds: both arenas grow
+  run(warmed, 100, 1);
+  EXPECT_EQ(warmed.stage_words.capacity(), alone.stage_words.capacity());
+  EXPECT_LE(warmed.deliver_words.capacity(), alone.stage_words.capacity());
 }
 
 TEST(RoundLedger, GlobalBroadcastChargeShape) {
