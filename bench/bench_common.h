@@ -1,6 +1,7 @@
 // Shared helpers for the lightnet benchmark harness.
 //
-// Every bench binary regenerates one experiment from DESIGN.md §4. Rows are
+// Every bench binary regenerates one experiment; EXPERIMENTS.md describes
+// the tables and lists the invocations. Rows are
 // google-benchmark instances; the paper's "columns" (stretch, lightness,
 // size, rounds) are exported as user counters so the bench output *is* the
 // table.

@@ -1,27 +1,24 @@
 // Frontier machinery for the round scheduler.
 //
-// Mirrors the data structures of the hybrid (top-down / bottom-up) BFS
-// literature — a word-packed bitmap marking the vertices that must be
-// invoked next round, and a flat reusable queue that receives the
-// ascending-id scan of those bits. Together they replace the old
-// build_active_set path (three source vectors deduplicated through a flag
-// array and then sorted every round): marking a vertex is one OR, and the
-// ascending scan produces the sorted invocation order for free, so
-// executions stay bit-identical to the full sweep without any per-round
-// sort.
+// Mirrors the frontier of the hybrid (top-down / bottom-up) BFS
+// literature: a word-packed bitmap marking the vertices that must be
+// invoked next round, scanned ascending into flat reusable vectors.
+// Marking a vertex is one OR, and the ascending scan produces the sorted
+// invocation order for free, so executions stay bit-identical to the full
+// sweep without any per-round sort.
 //
 // Concurrency contract: FrontierBitmap::set is a plain RMW for
-// single-writer phases (the serial scheduler, or a parallel delivery worker
-// marking recipients inside its own 64-aligned vertex shard, where no two
-// workers ever share a word). set_atomic is the cross-shard form used by
-// parallel invocation workers marking non-quiescent nodes — any worker may
-// wake any vertex, so those marks go through a relaxed fetch_or (the phase
-// barrier orders them before the scan reads the words).
+// single-writer phases (the round's points outside its jobs, invocation at
+// threads = 1, or a delivery worker marking recipients inside its own
+// 64-aligned vertex shard, where no two workers ever share a word).
+// set_atomic is the cross-shard form used by invocation workers of a
+// pooled round marking non-quiescent nodes — any worker may wake any
+// vertex, so those marks go through a relaxed fetch_or (the phase barrier
+// orders them before the scan reads the words).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -36,7 +33,8 @@ class FrontierBitmap {
 
   void reset(int n) { bits_.assign(words_for(n), 0); }
 
-  // Single-writer mark (serial scheduler, or a shard-local delivery pass).
+  // Single-writer mark (no concurrent marker, or a shard-local delivery
+  // pass).
   void set(VertexId v) {
     bits_[static_cast<size_t>(v) >> 6] |= 1ull << (v & 63);
   }
@@ -58,38 +56,6 @@ class FrontierBitmap {
 
  private:
   std::vector<std::uint64_t> bits_;
-};
-
-// The per-round active set as a sliding window over one flat, reused
-// allocation (the sliding-queue idea: the storage never shrinks or moves in
-// steady state, each round just claims a fresh window). The scheduler scans
-// the frontier bitmap ascending into the window, so window() is always
-// sorted by vertex id.
-class SlidingQueue {
- public:
-  void reset(int n) {
-    slots_.resize(static_cast<size_t>(n));
-    size_ = 0;
-  }
-
-  void start_window() { size_ = 0; }
-  void push(VertexId v) { slots_[size_++] = v; }
-
-  // Bulk claim for parallel producers: returns the base index of a `count`-
-  // slot segment the caller may fill directly (scan results are copied in
-  // shard order, preserving the global ascending order).
-  VertexId* claim(size_t count) {
-    VertexId* base = slots_.data() + size_;
-    size_ += count;
-    return base;
-  }
-
-  std::span<const VertexId> window() const { return {slots_.data(), size_}; }
-  size_t size() const { return size_; }
-
- private:
-  std::vector<VertexId> slots_;
-  size_t size_ = 0;
 };
 
 }  // namespace lightnet::congest

@@ -60,11 +60,11 @@ void ReliableTransport::send(VertexId owner, int flat, int local,
   if (!st.in_flight) transmit_head(st, flat);
 }
 
-void ReliableTransport::process_inbound(int round) {
-  (void)round;
+void ReliableTransport::process_inbound(
+    std::span<const VertexId> recipients) {
   const Network& net = *scheduler_->network_;
   const auto& node_down = scheduler_->node_down_;
-  for (VertexId v : scheduler_->current_mail_) {
+  for (VertexId v : recipients) {
     const size_t vi = static_cast<size_t>(v);
     const std::uint32_t len = scheduler_->inbox_len_[vi];
     if (len == 0) continue;
@@ -79,10 +79,7 @@ void ReliableTransport::process_inbound(int round) {
       const int local = net.link_index(v, d.from);
       const int flat = net.link_base(v) + local;
       LinkState& st = state(v, flat, local);
-      const std::uint64_t* words =
-          d.msg.ext_size == 0
-              ? d.msg.words.data()
-              : scheduler_->deliver_words_.data() + d.msg.ext_offset;
+      const std::uint64_t* words = scheduler_->payload(d.msg).data();
       if (d.msg.tag == kTagReliableAck) {
         const std::uint32_t acked = static_cast<std::uint32_t>(words[0]);
         if (st.in_flight && st.queue.front().first < acked) {

@@ -35,6 +35,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <vector>
 
 #include "congest/message.h"
@@ -60,10 +61,11 @@ class ReliableTransport {
   // local link index); transmits immediately when the window is free.
   void send(VertexId owner, int flat, int local, const Message& msg);
 
-  // Receiver side: strips transport frames out of every inbox span of the
-  // round (in place — frames never reach programs), advances receive
-  // state, unwraps in-order data frames, and enqueues acks.
-  void process_inbound(int round);
+  // Receiver side: strips transport frames out of the inbox spans of the
+  // round's recipients (in place — frames never reach programs), advances
+  // receive state, unwraps in-order data frames, and enqueues acks in
+  // recipient order.
+  void process_inbound(std::span<const VertexId> recipients);
 
   // Timer tick, run after program invocation: retransmits expired frames,
   // transmits newly unblocked queue heads, expires dead links.

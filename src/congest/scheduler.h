@@ -14,31 +14,34 @@
 //    table in Network. NodeContext::send(neighbor, ...) resolves the
 //    neighbor through the Network's sorted sidecar in O(log deg) — never
 //    the O(deg) WeightedGraph::find_edge scan.
-//  - Frontier rounds: the per-round active set lives in a frontier bitmap +
-//    sliding queue (congest/frontier.h). Waking a node is one OR; the
-//    ascending bit scan yields the sorted invocation order for free, so no
-//    per-round sort is needed and executions stay bit-identical to the full
-//    sweep (SchedulerOptions::full_sweep is the reference behavior for
-//    tests and benchmarks). A sleeping frontier costs nothing.
+//  - Frontier rounds: the per-round active set lives in a frontier bitmap
+//    (congest/frontier.h). Waking a node is one OR; the ascending bit scan
+//    yields the sorted invocation order for free, so no per-round sort is
+//    needed and executions stay bit-identical to the full sweep
+//    (SchedulerOptions::full_sweep). The scan reads only the bitmap words
+//    marked since the last scan, so a sleeping frontier costs nothing.
 //  - Flat message arena: inboxes live in one double-buffered flat Delivery
 //    array, counting-sorted by recipient at delivery time. Steady state
 //    performs zero per-round heap allocations (CostStats::inbox_reallocs
-//    instruments this). Delivery switches per round between iterating the
-//    senders' recipient list (sparse rounds) and scanning the receiver
-//    range directly (dense rounds) — the top-down/bottom-up direction
-//    switch of the hybrid-BFS literature, applied to inbox assembly.
-//  - Parallel rounds (SchedulerOptions::threads > 1): node programs within
-//    a round are independent by construction, so the active set is sharded
-//    across a persistent worker pool. Each worker stages outgoing messages
-//    into its own lane (per-recipient-shard buckets plus a private word
-//    arena), and delivery workers each own a contiguous, 64-aligned vertex
-//    shard whose inboxes they assemble by draining the lanes' buckets in
-//    lane order — a stable merge that reproduces the serial send
-//    interleaving exactly, so artifacts, ledgers and stats are bit-identical
-//    to threads=1. The same delivery job folds the shard's congestion
-//    window and scans its frontier words, so a round makes two pool
-//    hand-offs (deliver, invoke). With threads=1 none of this machinery is
-//    touched.
+//    instruments this). Delivery switches per round, on the round's
+//    delivered volume, between listing recipients as the buckets drain
+//    (sparse rounds) and scanning the receiver range directly (dense
+//    rounds) — the top-down/bottom-up direction switch of the hybrid-BFS
+//    literature, applied to inbox assembly.
+//  - One round, sharded: node programs within a round are independent by
+//    construction, so a round is two jobs over vertex shards. Invocation
+//    splits the ascending active set into one contiguous chunk per lane; a
+//    lane stages its nodes' sends into per-recipient-shard buckets plus a
+//    private word arena. Delivery gives each worker one contiguous,
+//    64-aligned vertex shard, whose inboxes it assembles by draining the
+//    lanes' buckets in lane order — a stable merge that reproduces the
+//    ascending send interleaving exactly — while folding the shard's
+//    congestion window and scanning its frontier words. With
+//    SchedulerOptions::threads > 1 a persistent worker pool runs each job
+//    (two hand-offs per round); threads = 1 runs the same round with one
+//    lane and one shard and calls both jobs inline. Artifacts, ledgers and
+//    stats are bit-identical at every thread count; tests/round_oracle.h is
+//    the naive round loop they are all checked against.
 //
 // Congestion: the scheduler counts messages per (edge, direction) per round.
 // In strict mode, more than one message on a directed edge in a round —
@@ -47,6 +50,8 @@
 // proves it per execution.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -146,7 +151,7 @@ class NodeContext {
   VertexId self_ = kNoVertex;
   int round_ = 0;
   int link_base_ = 0;  // flat offset of self's links in the Network index
-  int lane_ = 0;       // staging lane of the invoking worker (0 when serial)
+  int lane_ = 0;       // staging lane of the invoking worker
   std::span<const Incidence> links_;
   const Network* network_ = nullptr;
   Scheduler* scheduler_ = nullptr;
@@ -163,37 +168,37 @@ struct Pending {
 static_assert(sizeof(Pending) == 8 + sizeof(Delivery),
               "the slot must fit the padding before the delivery");
 
-// Cross-run arena pool. A Scheduler's flat message buffers (stage, arena,
-// inbox index, edge loads, ...) reach steady-state capacity within a run.
-// Every Scheduler adopts a pool's capacity at construction and returns it —
-// grown — at destruction, so back-to-back runs skip the warm-up
-// allocations. The pool is the one donated via SchedulerOptions::scratch (a
-// long-lived server such as lightnetd owns one and reports its
-// `adoptions`), or else the calling thread's own thread_local pool, shared
-// by every run on that thread (so a Scheduler is destroyed on the thread
-// that constructed it). Contents are opaque capacity: the scheduler
-// clears every adopted vector before use, so execution is bit-identical
-// with or without a pool. The batched-payload word arenas grow straight to
-// the power of two a round needs and return in the roles they were adopted
-// in, so their capacities depend only on the largest rounds they held, not
-// on which runs came first. `in_use` guards nesting: a kernel started from
-// inside another kernel's run on the same pool builds private buffers
-// instead. Serial buffers only — the threads>1 lane/shard state is
-// per-pool-size and stays privately owned.
+// Cross-run arena pool. A Scheduler's flat message buffers (staging
+// buckets, word arenas, inbox index, edge loads, ...) reach steady-state
+// capacity within a run. Every Scheduler adopts a pool's capacity at
+// construction and returns it — grown — at destruction, so back-to-back
+// runs skip the warm-up allocations. The pool is the one donated via
+// SchedulerOptions::scratch (a long-lived server such as lightnetd owns one
+// and reports its `adoptions`), or else the calling thread's own
+// thread_local pool, shared by every run on that thread (so a Scheduler is
+// destroyed on the thread that constructed it). Contents are opaque
+// capacity: the scheduler clears every adopted vector before use, so
+// execution is bit-identical with or without a pool. The batched-payload
+// word arenas grow straight to the power of two a round needs and return
+// in the roles they were adopted in, so their capacities depend only on the
+// largest rounds they held, not on which runs came first. `in_use` guards
+// nesting: a kernel started from inside another kernel's run on the same
+// pool builds private buffers instead. The pool lends lane 0's and shard
+// 0's buffers (all of them at threads = 1, where those are the only lane
+// and shard) plus the per-vertex and per-slot arrays; the other lanes' and
+// shards' buffers are per-pool-size and stay privately owned.
 struct SchedulerScratch {
-  std::vector<Pending> stage;
-  std::vector<Pending> deliver_buf;
+  std::vector<Pending> stage;          // lane 0's fill-side bucket 0
+  std::vector<Pending> deliver_buf;    // lane 0's delivery-side bucket 0
   std::vector<std::uint64_t> stage_words;
   std::vector<std::uint64_t> deliver_words;
   std::vector<Delivery> arena;
   std::vector<std::uint32_t> inbox_start;
   std::vector<std::uint32_t> inbox_len;
   std::vector<std::uint32_t> recv_count;
-  std::vector<VertexId> mail_nodes;
-  std::vector<VertexId> current_mail;
-  std::vector<std::uint8_t> has_mail;
+  std::vector<VertexId> mail;          // shard 0's recipients
+  std::vector<VertexId> active;        // shard 0's frontier scan
   std::vector<std::uint32_t> edge_load;
-  std::vector<EdgeId> touched_edges;
   bool in_use = false;
   std::uint64_t adoptions = 0;
 };
@@ -207,13 +212,13 @@ struct SchedulerOptions {
   // Deterministic fault injection (congest/fault.h). The zero plan is the
   // fault-free fast path — no per-delivery overhead at all.
   FaultPlan fault;
-  // Worker threads for parallel round execution. 1 (the default) runs the
-  // serial fast path with no pool at all; values > 1 are clamped to
-  // Scheduler::kMaxLanes. Outputs, artifacts and all model costs are
-  // bit-identical across every thread count — parallelism only changes
-  // wall-clock time and the rounds_parallel/max_shard_skew/barrier_wait_ns
-  // instrumentation. Composes with fault plans; the reliable transport
-  // requires threads = 1.
+  // Worker threads for round execution. 1 (the default) runs the round's
+  // two jobs inline with one lane and one shard and no pool at all; values
+  // > 1 are clamped to Scheduler::kMaxLanes. Outputs, artifacts and all
+  // model costs are bit-identical across every thread count — parallelism
+  // only changes wall-clock time and the rounds_parallel/max_shard_skew/
+  // barrier_wait_ns instrumentation. Composes with fault plans; the
+  // reliable transport requires threads = 1.
   int threads = 1;
   // Abort if any directed edge carries more than one message in one round.
   bool strict_congest = true;
@@ -268,23 +273,43 @@ class Scheduler {
   static constexpr std::uint32_t kLaneShift = 28;
   static constexpr std::uint32_t kLaneOffsetMask = (1u << kLaneShift) - 1;
 
+  // The frontier-bitmap words marked since the last scan, as one range, so
+  // a sparse frontier on a huge graph scans a handful of words, not n/64.
+  struct MarkWindow {
+    size_t lo = SIZE_MAX;
+    size_t hi = 0;
+    void widen(VertexId v) {
+      const size_t w = static_cast<size_t>(v) >> 6;
+      if (w < lo) lo = w;
+      if (w > hi) hi = w;
+    }
+    void widen(const MarkWindow& o) {
+      if (o.lo < lo) lo = o.lo;
+      if (o.hi > hi) hi = o.hi;
+    }
+  };
+
   // Per-worker staging state. Each lane owns the messages its worker's
   // nodes send during a round: bucketed by recipient shard (so delivery
   // workers can drain them without contention) plus a private word arena
   // for batched payloads. Cache-line aligned so two workers' hot counters
   // never share a line.
   struct alignas(64) Lane {
-    std::vector<std::vector<Pending>> out;    // fill side, per recipient shard
-    std::vector<std::vector<Pending>> dout;   // delivery side (last round)
+    // Buckets by recipient shard (the first `threads` are used), held in
+    // the lane so that reaching one takes no pointer chase.
+    std::array<std::vector<Pending>, kMaxLanes> out;   // fill side
+    std::array<std::vector<Pending>, kMaxLanes> dout;  // delivery side
     std::vector<std::uint64_t> words;         // fill-side batched payloads
     std::vector<std::uint64_t> dwords;        // delivery-side payloads
-    // Per-round accumulators, folded into the global stats at the barrier.
+    // Run totals of the lane's sends, folded into the stats when the run
+    // ends, and the per-round wake-up state, folded after each invocation.
     std::uint64_t messages = 0;
+    std::uint64_t messages_seen = 0;  // `messages` at the last fold
     std::uint64_t words_sent = 0;
     std::uint64_t reallocs = 0;
     std::uint8_t wake_any = 0;
-    // Lane-local per-channel message/word counters (channels > 1 only),
-    // folded with the scalar counters at the barrier.
+    MarkWindow marks;  // this lane's wake marks of non-quiescent nodes
+    // Lane-local per-channel message/word totals (channels > 1 only).
     std::vector<ChannelCost> channels;
   };
 
@@ -293,9 +318,10 @@ class Scheduler {
     VertexId begin = 0;
     VertexId end = 0;
     std::vector<VertexId> mail;     // this round's recipients in the shard
-    std::vector<VertexId> active;   // frontier-scan output for the shard
+    std::vector<VertexId> active;   // the shard's slice of the invocation order
     std::vector<std::uint32_t> fault_touched;  // dir slots to reset
-    std::uint64_t dropped = 0;
+    std::uint64_t dropped = 0;      // run total
+    MarkWindow marks;  // this shard's recipient wake marks
     // Running maxima of the congestion windows folded while draining (the
     // untagged one, and per channel when channels > 1); merged into the
     // stats once the run ends.
@@ -309,51 +335,44 @@ class Scheduler {
                      std::uint32_t dir_slot, std::uint32_t tag,
                      std::uint8_t channel,
                      std::span<const std::uint64_t> words);
-  // Serial runs: folds the per-edge loads of the last send window into
-  // max_edge_load and resets them (single owner of the touched_edges_
-  // bookkeeping). Parallel runs fold in delivery (fold_window).
-  void flush_edge_loads();
-  // Serial delivery: counting-sort scatter of stage_ into the arena; fills
-  // inbox_start_/inbox_len_ for this round's recipients (current_mail_).
-  void deliver_stage(int round);
-  // Composes the sorted list of nodes to invoke this round by consuming the
-  // frontier bitmap (ascending scan), or the full range under full_sweep /
-  // round 0.
-  void build_active_set(int round);
-  // Marks a vertex for invocation and keeps the serial scan window tight.
+  // Full payload of a delivered message: the inline words, or the span of
+  // the staging lane's delivery-side word arena that ext_offset packs (lane
+  // in the top bits, lane-local offset below).
+  std::span<const std::uint64_t> payload(const Message& msg) const;
+  // Marks a vertex for invocation from a point of the round where no job
+  // runs (idle riders, restarts, transport recipients).
   void mark_frontier(VertexId v) {
     frontier_.set(v);
-    const size_t w = static_cast<size_t>(v) >> 6;
-    if (w < frontier_min_word_) frontier_min_word_ = w;
-    if (w > frontier_max_word_) frontier_max_word_ = w;
+    marks_.widen(v);
   }
-  // Fault hooks (no-ops unless options_.fault.enabled()).
-  void apply_faults(int round);        // filters deliver_buf_ before scatter
-  void apply_reorder(int round);       // permutes inbox spans after scatter
-  void shuffle_inbox(int round, VertexId v);  // one span of apply_reorder
+  void shuffle_inbox(int round, VertexId v);  // fault plan's reorder
   void apply_crash_events(int round);  // crash/restart transitions
   // Entry point for NodeContext::reliable_send_on_link; creates the
   // transport lazily on first use.
   void reliable_send(VertexId from, int link_base, int link_index,
                      std::span<const Incidence> links, const Message& msg);
 
-  // --- parallel round phases (threads > 1) ---
-  void run_round_parallel(int round);
+  // --- the round: delivery job, invocation job ---
+  void run_round(int round);
   // The delivery job of one recipient shard: inbox assembly, the window
-  // fold, then the shard's frontier scan into shard.active.
+  // fold, then the shard's slice of the invocation order into shard.active
+  // by a frontier scan (none in round 0 and under full_sweep, which invoke
+  // every live vertex; an attached transport defers it until its frames
+  // are stripped).
   void deliver_shard(int shard, int round, bool dense);
+  // Ascending scan of the shard's bitmap words inside the mark windows.
   void scan_shard_frontier(ShardScratch& shard);
   // Reads, clears and keeps the max of the congestion windows (untagged
   // and channel) of p's directed slot. Only the slot's receiver shard
   // calls this, so each slot has one writer per delivery.
   void fold_window(ShardScratch& shard, const Pending& p);
-  // End of a parallel run: folds the windows of messages still staged (the
-  // last round of a max_rounds-capped run) and merges the shard maxima.
+  // End of a run: folds the windows of messages still staged (the last
+  // round of a max_rounds-capped run) and merges the shard maxima.
   void merge_shard_windows();
   void invoke_chunk(int lane, int round);
   // Compacts one lane bucket under the fault plan; the shard owner calls
-  // this for each lane in lane order so per-slot message indices match the
-  // serial delivery order exactly.
+  // this for each lane in lane order so per-slot message indices follow
+  // the send order exactly.
   void fault_filter_bucket(ShardScratch& shard, std::vector<Pending>& bucket,
                            int round);
 
@@ -362,46 +381,30 @@ class Scheduler {
   std::vector<std::unique_ptr<NodeProgram>> programs_;
   SchedulerOptions options_;
 
-  // --- message arena (double-buffered flat inboxes; serial staging) ---
-  std::vector<Pending> stage_;          // sends of the current round
-  std::vector<Pending> deliver_buf_;    // last round's sends being delivered
-  std::vector<std::uint64_t> stage_words_;    // batched payloads being filled
-  std::vector<std::uint64_t> deliver_words_;  // payloads being delivered
-  std::vector<Delivery> arena_;         // deliveries grouped by recipient
+  // --- flat inboxes (rebuilt every round from the lanes' buckets) ---
+  std::vector<Delivery> arena_;             // deliveries grouped by recipient
   std::vector<std::uint32_t> inbox_start_;  // per-node arena offset
   std::vector<std::uint32_t> inbox_len_;    // per-node count; 0 unless mail
-  std::vector<std::uint32_t> recv_count_;   // fill-side counts / scatter cursor
-  std::vector<VertexId> mail_nodes_;        // fill-side recipients (unique)
-  std::vector<VertexId> current_mail_;      // recipients being delivered
-  std::vector<std::uint8_t> has_mail_;      // fill-side membership flag
+  std::vector<std::uint32_t> recv_count_;   // drain counts / scatter cursor
 
   // --- frontier (active-set) tracking ---
   FrontierBitmap frontier_;     // vertices to invoke next round
-  SlidingQueue active_;         // this round's invocation order (ascending)
+  // The full range (round 0, full_sweep) or the concatenated shard scans
+  // (threads > 1).
+  std::vector<VertexId> active_;
+  std::span<const VertexId> order_;  // this round's invocation order
   std::vector<VertexId> idle_riders_;  // wants_idle_rounds programs
-  // Serial scan window: bitmap words touched since the last scan, so a
-  // sparse frontier on a huge graph scans a handful of words, not n/64.
-  size_t frontier_min_word_ = SIZE_MAX;
-  size_t frontier_max_word_ = 0;
-  bool wake_this_round_ = false;  // any program non-quiescent this round
-  // Receiver-scan predictor (the delivery direction switch): when the last
-  // delivered round was dense, the next round's sends skip the recipient-
-  // list bookkeeping and delivery reconstructs recipients by scanning the
-  // vertex range. A pure function of delivered message counts, so the
-  // switch is deterministic.
-  bool stage_skiplist_ = false;
-  bool words_flipped_ = false;  // the two word arenas swapped roles
+  MarkWindow marks_;  // marks made outside the jobs, plus folded lane marks
+  // The round left a program non-quiescent or a message in flight.
+  bool busy_ = false;
+  bool words_flipped_ = false;  // lane 0's word arenas swapped roles
 
-  std::uint64_t in_flight_ = 0;
   CostStats stats_;
   // Per-round congestion tracking: messages sent on each directed edge.
   // A directed slot has a single sender, so lanes add to it without
   // synchronization during invocation, and a single receiver, whose shard
   // owner reads and clears it during the next delivery (fold_window).
-  // Serial runs instead list the touched edges and fold them at the top of
-  // the next round (flush_edge_loads).
   std::vector<std::uint32_t> edge_load_;  // indexed by 2*edge + direction
-  std::vector<EdgeId> touched_edges_;     // serial runs only
 
   // --- per-channel accounting (allocated only when options_.channels > 1;
   //     a single-channel run never touches any of this) ---
@@ -412,19 +415,17 @@ class Scheduler {
   // one.
   std::vector<std::uint32_t> edge_load_ch_;
 
-  // --- parallel execution (allocated only when options_.threads > 1) ---
+  // --- lanes and shards (one each at threads = 1, which has no pool) ---
   std::unique_ptr<WorkerPool> pool_;
   std::vector<Lane> lanes_;
   std::vector<ShardScratch> shards_;
   std::vector<std::uint8_t> shard_of_;        // vertex -> recipient shard
   std::vector<std::uint32_t> shard_arena_base_;  // per-shard arena slice
-  std::vector<std::uint64_t> shard_totals_;      // per-shard deliveries
-  std::vector<size_t> chunk_bounds_;          // invocation chunks over active_
+  std::vector<size_t> chunk_bounds_;          // invocation chunks over order_
 
   // --- fault injection (allocated only when options_.fault.enabled()) ---
   std::unique_ptr<FaultModel> fault_;
   std::vector<std::uint32_t> fault_seq_;  // per-dir-slot msg_index counters
-  std::vector<std::uint32_t> fault_touched_;  // dir slots to reset
   std::vector<std::uint8_t> node_down_;       // crashed right now
   struct CrashEvent {
     int round;
@@ -443,17 +444,5 @@ class Scheduler {
   void adopt_scratch();   // ctor: take a pool's capacity, cleared
   void return_scratch();  // dtor: hand the grown buffers back
 };
-
-// Convenience: instantiate `Program` (constructed from (VertexId, Args...))
-// at every node and run to quiescence.
-template <typename Program, typename... Args>
-std::pair<std::vector<std::unique_ptr<NodeProgram>>, int> make_programs_impl(
-    int n, Args&&... args) {
-  std::vector<std::unique_ptr<NodeProgram>> programs;
-  programs.reserve(static_cast<size_t>(n));
-  for (VertexId v = 0; v < n; ++v)
-    programs.push_back(std::make_unique<Program>(v, args...));
-  return {std::move(programs), n};
-}
 
 }  // namespace lightnet::congest

@@ -61,8 +61,10 @@ struct CostStats {
   std::uint64_t rounds_parallel = 0;  // rounds executed by the worker pool
   // Rounds whose delivery ran in receiver-scan ("bottom-up") mode: inbox
   // offsets assigned by a linear scan over the vertex range instead of by
-  // iterating the senders' recipient list. Counted in serial and parallel
-  // runs alike.
+  // listing recipients as the staged messages drain. Decided per round from
+  // the volume that round delivers (at least one message per four
+  // vertices, with no fault plan or transport attached), so the count is
+  // the same at every thread count.
   std::uint64_t rounds_receiver_scan = 0;
   // Max over parallel rounds of (messages into the busiest recipient shard)
   // minus the per-shard average that round: how unevenly the deterministic

@@ -1,9 +1,10 @@
 // Tests for parallel round execution (SchedulerOptions::threads > 1).
 //
-// The contract under test is bit-identity: a parallel run must produce the
+// The contract under test is bit-identity: a pooled run must produce the
 // same program outputs, the same model-level cost (rounds, messages, words,
-// max_edge_load) and the same fault outcomes as the serial scheduler, for
-// every thread count. Shard-merge ordering, the lane-packed batched-payload
+// max_edge_load) and the same fault outcomes as the threads=1 run, for
+// every thread count (tests/scheduler_fuzz_test.cc checks all of them
+// against the naive round oracle). Shard-merge ordering, the lane-packed batched-payload
 // arena, fault filtering inside shards, and the dense/sparse delivery
 // switch are all exercised through public entry points so the suite keeps
 // passing if the internals are rearranged.
@@ -338,8 +339,9 @@ TEST(ParallelScheduler, PerChannelCostsMatchAcrossThreadCounts) {
 }
 
 // Thread counts beyond the lane budget clamp instead of tripping the
-// packed-offset encoding; threads=1 must not build a pool at all (the
-// serial fast path, asserted via rounds_parallel staying zero).
+// packed-offset encoding; threads=1 must not build a pool at all (its one
+// lane runs the round's jobs inline, asserted via rounds_parallel staying
+// zero).
 TEST(ParallelScheduler, ThreadCountClampsToLaneBudget) {
   const WeightedGraph g = grid(5, 5, /*perturb=*/true, 15);
   const BfsTreeResult serial = build_bfs_tree(g, 0, with_threads(1));
