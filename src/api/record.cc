@@ -58,6 +58,16 @@ bool clamp_reliable_serial(RunSpec& spec) {
   return true;
 }
 
+RunContext spec_context(const RunSpec& spec, RunContext base) {
+  base.seed = spec.scenario.seed;
+  base.sched.full_sweep = spec.full_sweep;
+  base.sched.fault = spec.fault;
+  base.sched.threads = spec.threads;
+  base.sched.sequential_scales = spec.sequential_scales;
+  if (spec.max_rounds > 0) base.sched.max_rounds = spec.max_rounds;
+  return base;
+}
+
 RunRecord run_and_record(const WeightedGraph& g, int hop_diameter,
                          const RunSpec& spec_in, RunContext ctx) {
   LN_REQUIRE(spec_in.construction != nullptr,
@@ -72,12 +82,7 @@ RunRecord run_and_record(const WeightedGraph& g, int hop_diameter,
              "active fault plans require threads = 1");
 
   const Construction& c = *spec.construction;
-  ctx.seed = spec.scenario.seed;
-  ctx.sched.full_sweep = spec.full_sweep;
-  ctx.sched.fault = spec.fault;
-  ctx.sched.threads = spec.threads;
-  ctx.sched.sequential_scales = spec.sequential_scales;
-  if (spec.max_rounds > 0) ctx.sched.max_rounds = spec.max_rounds;
+  ctx = spec_context(spec, std::move(ctx));
 
   // Graceful path: outcomes instead of exceptions whenever the run can
   // legitimately terminate partial (faults) or capped (max_rounds).

@@ -75,11 +75,18 @@ struct RunRecord {
   RunOutcome outcome = RunOutcome::kCompleted;
 };
 
-// Executes spec.construction on g and renders the record. `ctx` seeds the
-// execution environment: its substrate_pool / sched.scratch / ledger_sink
-// survive, while seed and the scheduler knobs the spec pins (fault, threads,
-// full_sweep, max_rounds) are overwritten from the spec. `hop_diameter` is
-// passed in so sweeps computing it once per graph don't recompute per run.
+// `base` with the knobs a spec pins copied in: the seed (the scenario's) and
+// the scheduler's fault plan, threads, full_sweep, sequential_scales and
+// max_rounds (when set). Everything else in `base` (substrate_pool,
+// sched.scratch, ledger_sink) is kept. run_and_record runs under this
+// context; a driver that calls Construction::run directly uses it to run
+// the same configuration.
+RunContext spec_context(const RunSpec& spec, RunContext base = {});
+
+// Executes spec.construction on g and renders the record, under
+// spec_context(spec, ctx) after the reliable-transport clamp. `hop_diameter`
+// is passed in so sweeps computing it once per graph don't recompute per
+// run.
 RunRecord run_and_record(const WeightedGraph& g, int hop_diameter,
                          const RunSpec& spec, RunContext ctx);
 

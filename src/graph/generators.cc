@@ -49,7 +49,8 @@ double euclid(double ax, double ay, double bx, double by) {
 }
 
 // Euclidean MST over point set via Prim (O(n^2)); used to guarantee
-// connectivity of geometric graphs without distorting the metric.
+// connectivity of geometric graphs without distorting the metric when the
+// radius graph alone does not.
 std::vector<std::pair<VertexId, VertexId>> euclidean_mst(
     const std::vector<double>& x, const std::vector<double>& y) {
   const int n = static_cast<int>(x.size());
@@ -95,37 +96,103 @@ std::vector<std::pair<VertexId, VertexId>> euclidean_mst(
 
 }  // namespace
 
+GeometricGraph geometric_graph(std::vector<double> x, std::vector<double> y,
+                               double radius) {
+  const int n = static_cast<int>(x.size());
+  LN_REQUIRE(n >= 1, "need at least one vertex");
+  LN_REQUIRE(y.size() == x.size(), "need one y coordinate per x coordinate");
+  LN_REQUIRE(radius > 0.0, "radius must be positive");
+  for (size_t i = 0; i < x.size(); ++i)
+    LN_REQUIRE(x[i] >= 0.0 && x[i] <= 1.0 && y[i] >= 0.0 && y[i] <= 1.0,
+               "points must lie in the unit square");
+
+  // k x k cells of side 1/k. The side exceeds the radius by a relative 1e-9,
+  // which absorbs the rounding of the distances and of the cell indices, so
+  // every pair within the radius lies in the same or in adjacent cells. At
+  // most about n cells: a radius below 1/sqrt(n) keeps sqrt(n) per side.
+  const double fit = std::floor(1.0 / (radius * (1.0 + 1e-9)));
+  const double cap =
+      std::max(1.0, std::floor(std::sqrt(static_cast<double>(n))));
+  const int k = static_cast<int>(std::clamp(fit, 1.0, cap));
+  const auto cell_of = [k](double c) {
+    return std::min(k - 1, static_cast<int>(c * k));
+  };
+  // Counting sort by cell; ids ascend within a cell.
+  std::vector<int> first(static_cast<size_t>(k * k) + 1, 0);
+  std::vector<size_t> cell(static_cast<size_t>(n));
+  for (size_t i = 0; i < cell.size(); ++i) {
+    cell[i] = static_cast<size_t>(cell_of(y[i]) * k + cell_of(x[i]));
+    ++first[cell[i] + 1];
+  }
+  for (size_t c = 1; c < first.size(); ++c) first[c] += first[c - 1];
+  std::vector<VertexId> members(static_cast<size_t>(n));
+  std::vector<int> cursor(first.begin(), first.end() - 1);
+  for (VertexId v = 0; v < n; ++v)
+    members[static_cast<size_t>(cursor[cell[static_cast<size_t>(v)]]++)] = v;
+
+  // Pairs u < v within the radius, in (v, u) order.
+  std::vector<Edge> edge_list;
+  std::vector<Edge> row;
+  bool coincident = false;
+  for (VertexId v = 0; v < n; ++v) {
+    const size_t vi = static_cast<size_t>(v);
+    const int cx = cell_of(x[vi]), cy = cell_of(y[vi]);
+    row.clear();
+    for (int gy = std::max(0, cy - 1); gy <= std::min(k - 1, cy + 1); ++gy) {
+      for (int gx = std::max(0, cx - 1); gx <= std::min(k - 1, cx + 1); ++gx) {
+        const size_t c = static_cast<size_t>(gy * k + gx);
+        for (int i = first[c]; i < first[c + 1]; ++i) {
+          const VertexId u = members[static_cast<size_t>(i)];
+          if (u >= v) break;
+          const size_t ui = static_cast<size_t>(u);
+          const double d = euclid(x[ui], y[ui], x[vi], y[vi]);
+          if (!(d <= radius)) continue;
+          if (d > 0.0)
+            row.push_back({u, v, d});
+          else
+            coincident = true;
+        }
+      }
+    }
+    std::sort(row.begin(), row.end(),
+              [](const Edge& a, const Edge& b) { return a.u < b.u; });
+    edge_list.insert(edge_list.end(), row.begin(), row.end());
+  }
+
+  // Every Euclidean MST edge is a shortest edge across some cut, so when
+  // the radius graph is connected it is no longer than the radius, and it
+  // is a radius edge unless its endpoints coincide. Only otherwise does the
+  // MST add edges.
+  UnionFind components(n);
+  for (const Edge& e : edge_list) components.unite(e.u, e.v);
+  if (coincident || components.num_components() > 1) {
+    std::map<std::uint64_t, Edge> edges;
+    for (const Edge& e : edge_list) edges.emplace(pair_key(e.u, e.v), e);
+    for (auto [u, v] : euclidean_mst(x, y)) {
+      const double d =
+          euclid(x[static_cast<size_t>(u)], y[static_cast<size_t>(u)],
+                 x[static_cast<size_t>(v)], y[static_cast<size_t>(v)]);
+      edges.try_emplace(pair_key(u, v), Edge{u, v, std::max(d, 1e-9)});
+    }
+    edge_list.clear();
+    for (auto& [key, e] : edges) edge_list.push_back(e);
+  }
+  GeometricGraph out;
+  out.graph = WeightedGraph::from_edges(n, std::move(edge_list));
+  out.x = std::move(x);
+  out.y = std::move(y);
+  return out;
+}
+
 GeometricGraph random_geometric(int n, double radius, std::uint64_t seed) {
   LN_REQUIRE(n >= 1, "need at least one vertex");
-  LN_REQUIRE(radius > 0.0, "radius must be positive");
   Rng rng(seed);
-  GeometricGraph out;
-  out.x.resize(static_cast<size_t>(n));
-  out.y.resize(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    out.x[static_cast<size_t>(i)] = rng.next_double();
-    out.y[static_cast<size_t>(i)] = rng.next_double();
+  std::vector<double> x(static_cast<size_t>(n)), y(static_cast<size_t>(n));
+  for (size_t i = 0; i < x.size(); ++i) {
+    x[i] = rng.next_double();
+    y[i] = rng.next_double();
   }
-  std::map<std::uint64_t, Edge> edges;
-  for (VertexId u = 0; u < n; ++u) {
-    for (VertexId v = u + 1; v < n; ++v) {
-      const double d =
-          euclid(out.x[static_cast<size_t>(u)], out.y[static_cast<size_t>(u)],
-                 out.x[static_cast<size_t>(v)], out.y[static_cast<size_t>(v)]);
-      if (d <= radius && d > 0.0) edges[pair_key(u, v)] = {u, v, d};
-    }
-  }
-  for (auto [u, v] : euclidean_mst(out.x, out.y)) {
-    const double d =
-        euclid(out.x[static_cast<size_t>(u)], out.y[static_cast<size_t>(u)],
-               out.x[static_cast<size_t>(v)], out.y[static_cast<size_t>(v)]);
-    edges.try_emplace(pair_key(u, v), Edge{u, v, std::max(d, 1e-9)});
-  }
-  std::vector<Edge> edge_list;
-  edge_list.reserve(edges.size());
-  for (auto& [key, e] : edges) edge_list.push_back(e);
-  out.graph = WeightedGraph::from_edges(n, std::move(edge_list));
-  return out;
+  return geometric_graph(std::move(x), std::move(y), radius);
 }
 
 WeightedGraph erdos_renyi(int n, double p, WeightLaw law, double max_weight,

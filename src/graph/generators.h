@@ -32,11 +32,23 @@ struct GeometricGraph {
   std::vector<double> x, y;  // vertex coordinates in the unit square
 };
 
-// Random geometric graph: n points in the unit square, edges between points
-// within `radius` (Euclidean weights). If the radius graph is disconnected,
-// the Euclidean MST edges are added, so the result is always connected and
-// remains a doubling (ddim ~= 2) metric.
+// Random geometric graph: n uniform points in the unit square, edges between
+// points within `radius` (Euclidean weights). If the radius graph is
+// disconnected, the Euclidean MST edges are added, so the result is always
+// connected and remains a doubling (ddim ~= 2) metric.
 GeometricGraph random_geometric(int n, double radius, std::uint64_t seed);
+
+// The same graph on given points (coordinates in [0, 1]); random_geometric
+// draws its points and calls this. Pairs are found by bucketing the points
+// into square cells of side just above `radius` (at most about n cells) and
+// comparing each point with the points of its own and the 8 neighbouring
+// cells, so the cost is O(n + pairs compared) rather than O(n^2). The
+// O(n^2) Prim pass over all points runs only as a fallback: when the
+// radius graph is disconnected or two points coincide (a zero distance is
+// no radius edge, but it is an MST edge). Otherwise every MST edge is
+// already a radius edge. Edges are ordered by (larger, smaller) endpoint.
+GeometricGraph geometric_graph(std::vector<double> x, std::vector<double> y,
+                               double radius);
 
 // G(n, p) with weights from `law`; a uniformly random spanning tree is
 // always included so the result is connected.

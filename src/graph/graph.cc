@@ -82,29 +82,76 @@ bool WeightedGraph::is_connected() const {
 }
 
 int WeightedGraph::hop_diameter() const {
-  LN_REQUIRE(is_connected(), "hop_diameter requires a connected graph");
-  // Double-sweep gives a lower bound; for exactness run BFS from every
-  // vertex. Graphs in this library are small enough (simulation scale).
-  int diameter = 0;
-  std::vector<int> dist(static_cast<size_t>(num_vertices_));
-  for (VertexId s = 0; s < num_vertices_; ++s) {
+  // BoundingDiameters (Takes & Kosters, CIKM 2011). Every vertex w carries
+  // bounds lo[w] <= ecc(w) <= hi[w]. A BFS from v with eccentricity e gives
+  // each w, at d = dist(v, w), lo[w] >= max(e - d, d) and hi[w] <= e + d,
+  // and gives the diameter 2e as an upper bound. The diameter's lower bound
+  // is the largest lo over all vertices, its upper bound the largest hi
+  // over the candidates still open. A candidate retires once hi <= the
+  // lower bound (it cannot raise it) and 2 lo >= the upper bound (a BFS
+  // from it cannot lower it), so the upper bound stays valid.
+  const int n = num_vertices_;
+  if (n == 0) return 0;
+  const size_t nn = static_cast<size_t>(n);
+  constexpr int kUnbounded = std::numeric_limits<int>::max();
+  std::vector<int> lo(nn, 0), hi(nn, kUnbounded), dist(nn);
+  std::vector<VertexId> open(nn), queue(nn);
+  for (VertexId v = 0; v < n; ++v) open[static_cast<size_t>(v)] = v;
+  int lower = 0, upper = kUnbounded;
+  bool pick_high = true;
+  while (true) {
+    // Alternate between the largest upper bound (a likely periphery
+    // vertex, raises `lower`) and the smallest lower bound (a likely
+    // center, lowers `upper`). `open` stays in id order, so ties go to the
+    // higher degree, then the lower id.
+    const auto key = [&](VertexId w) {
+      return pick_high ? hi[static_cast<size_t>(w)]
+                       : -lo[static_cast<size_t>(w)];
+    };
+    VertexId s = open[0];
+    for (VertexId w : open)
+      if (key(w) > key(s) || (key(w) == key(s) && degree(w) > degree(s)))
+        s = w;
+    pick_high = !pick_high;
+
     std::fill(dist.begin(), dist.end(), -1);
-    std::deque<VertexId> queue{s};
+    size_t head = 0, tail = 0;
+    queue[tail++] = s;
     dist[static_cast<size_t>(s)] = 0;
-    while (!queue.empty()) {
-      VertexId v = queue.front();
-      queue.pop_front();
-      diameter = std::max(diameter, dist[static_cast<size_t>(v)]);
+    while (head < tail) {
+      const VertexId v = queue[head++];
       for (const Incidence& inc : incident(v)) {
-        if (dist[static_cast<size_t>(inc.neighbor)] < 0) {
-          dist[static_cast<size_t>(inc.neighbor)] =
-              dist[static_cast<size_t>(v)] + 1;
-          queue.push_back(inc.neighbor);
-        }
+        const size_t u = static_cast<size_t>(inc.neighbor);
+        if (dist[u] >= 0) continue;
+        dist[u] = dist[static_cast<size_t>(v)] + 1;
+        queue[tail++] = inc.neighbor;
       }
     }
+    LN_REQUIRE(tail == nn, "hop_diameter requires a connected graph");
+    const int ecc = dist[static_cast<size_t>(queue[tail - 1])];
+    lower = std::max(lower, ecc);
+    upper = std::min(upper, 2 * ecc);
+    lo[static_cast<size_t>(s)] = hi[static_cast<size_t>(s)] = ecc;
+    for (VertexId w : open) {
+      const size_t wi = static_cast<size_t>(w);
+      const int d = dist[wi];
+      lo[wi] = std::max(lo[wi], std::max(ecc - d, d));
+      hi[wi] = std::min(hi[wi], ecc + d);
+      lower = std::max(lower, lo[wi]);
+    }
+
+    int open_hi = lower;
+    size_t kept = 0;
+    for (VertexId w : open) {
+      const size_t wi = static_cast<size_t>(w);
+      if (w == s || (hi[wi] <= lower && 2 * lo[wi] >= upper)) continue;
+      open_hi = std::max(open_hi, hi[wi]);
+      open[kept++] = w;
+    }
+    open.resize(kept);
+    upper = std::min(upper, open_hi);
+    if (lower == upper || open.empty()) return lower;
   }
-  return diameter;
 }
 
 WeightedGraph WeightedGraph::edge_subgraph(

@@ -71,7 +71,16 @@ class WeightedGraph {
 
   Weight total_weight() const;
   bool is_connected() const;
-  int hop_diameter() const;  // diameter ignoring weights; requires connected
+  // Diameter ignoring weights, exact; throws std::invalid_argument on a
+  // disconnected graph, returns 0 on an empty one. BoundingDiameters (Takes
+  // & Kosters, CIKM 2011): BFS runs from vertices chosen alternately by the
+  // largest upper and the smallest lower eccentricity bound, each run
+  // tightening every vertex's bounds, until the diameter's bounds meet.
+  // Each BFS is O(n + m); how many run depends on the family, at n = 16384
+  // (the scenario defaults): 10 on grid, 3 on path, 2 on star, 6 on
+  // lower_bound, 30 on geo, but 535 on ring-with-chords and 3490 on er,
+  // whose eccentricities are nearly all equal.
+  int hop_diameter() const;
 
   // Graph on the same vertex set containing only `edge_ids`.
   WeightedGraph edge_subgraph(std::span<const EdgeId> edge_ids) const;

@@ -146,7 +146,10 @@ double estimate_doubling_dimension(const WeightedGraph& g, int sample_count,
                                    std::uint64_t seed) {
   Rng rng(seed);
   int worst = 1;
+  DijkstraWorkspace ws;
+  std::vector<int> covered(static_cast<size_t>(g.num_vertices()), 0);
   for (int s = 0; s < sample_count; ++s) {
+    const int stamp = s + 1;
     const VertexId center = static_cast<VertexId>(
         rng.next_below(static_cast<std::uint64_t>(g.num_vertices())));
     const ShortestPathTree t = dijkstra(g, center);
@@ -155,23 +158,20 @@ double estimate_doubling_dimension(const WeightedGraph& g, int sample_count,
       if (d != kInfiniteDistance) max_d = std::max(max_d, d);
     if (max_d <= 0.0) continue;
     const double r = rng.next_uniform(max_d / 16.0, max_d / 2.0);
-    // Greedy r-net of B(center, 2r).
-    std::vector<VertexId> ball;
-    for (VertexId v = 0; v < g.num_vertices(); ++v)
-      if (t.dist[static_cast<size_t>(v)] <= 2.0 * r) ball.push_back(v);
-    std::vector<VertexId> net;
-    for (VertexId v : ball) {
-      bool covered = false;
-      for (VertexId c : net) {
-        const ShortestPathTree tc = dijkstra(g, c);
-        if (tc.dist[static_cast<size_t>(v)] <= r) {
-          covered = true;
-          break;
-        }
-      }
-      if (!covered) net.push_back(v);
+    // Greedy r-net of B(center, 2r), ball vertices in id order: a vertex
+    // joins unless an earlier net point is within r of it. Each net point
+    // runs one search bounded at r, which settles exactly the vertices
+    // within r of it, and marks them covered.
+    int net_size = 0;
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      const size_t vi = static_cast<size_t>(v);
+      if (!(t.dist[vi] <= 2.0 * r) || covered[vi] == stamp) continue;
+      ++net_size;
+      const VertexId source[] = {v};
+      ws.search(g, source, r);
+      for (VertexId u : ws.reached()) covered[static_cast<size_t>(u)] = stamp;
     }
-    worst = std::max(worst, static_cast<int>(net.size()));
+    worst = std::max(worst, net_size);
   }
   return std::log2(static_cast<double>(worst));
 }

@@ -76,6 +76,10 @@ class DijkstraWorkspace {
 
   // The last search's arrays, one entry per vertex of its graph.
   const MultiSourceResult& result() const { return r_; }
+  // The vertices the last search gave a finite dist. A search that ran to
+  // the end (no stop) settled them all: exactly the vertices within
+  // `bound` of the sources.
+  std::span<const VertexId> reached() const { return touched_; }
   MultiSourceResult take_result() && { return std::move(r_); }
 
  private:

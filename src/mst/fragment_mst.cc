@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <limits>
 
 #include "graph/mst.h"
@@ -24,26 +23,28 @@ int max_component_hop_diameter(const WeightedGraph& g,
     adj[static_cast<size_t>(e.u)].push_back(e.v);
     adj[static_cast<size_t>(e.v)].push_back(e.u);
   }
-  std::vector<int> dist(static_cast<size_t>(n));
+  // A BFS resets only the vertices the previous one reached (its queue), so
+  // a phase costs O(n) even when every component is a single vertex.
+  std::vector<int> dist(static_cast<size_t>(n), -1);
+  std::vector<VertexId> queue;
   int worst = 0;
   // Eccentricity from every vertex is overkill; double sweep per component
   // is exact on trees.
   std::vector<char> visited(static_cast<size_t>(n), 0);
   auto bfs_far = [&](VertexId s) {
-    std::fill(dist.begin(), dist.end(), -1);
-    std::deque<VertexId> q{s};
+    for (VertexId v : queue) dist[static_cast<size_t>(v)] = -1;
+    queue.assign(1, s);
     dist[static_cast<size_t>(s)] = 0;
     VertexId far = s;
-    while (!q.empty()) {
-      VertexId v = q.front();
-      q.pop_front();
+    for (size_t head = 0; head < queue.size(); ++head) {
+      const VertexId v = queue[head];
       visited[static_cast<size_t>(v)] = 1;
       if (dist[static_cast<size_t>(v)] > dist[static_cast<size_t>(far)])
         far = v;
       for (VertexId u : adj[static_cast<size_t>(v)]) {
         if (dist[static_cast<size_t>(u)] < 0) {
           dist[static_cast<size_t>(u)] = dist[static_cast<size_t>(v)] + 1;
-          q.push_back(u);
+          queue.push_back(u);
         }
       }
     }

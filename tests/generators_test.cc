@@ -2,9 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <map>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/metrics.h"
+#include "graph/union_find.h"
+#include "support/rng.h"
 #include "tests/test_util.h"
 
 namespace lightnet {
@@ -33,6 +43,194 @@ TEST(Generators, GeometricIsDeterministicPerSeed) {
     EXPECT_EQ(a.graph.edge(i).v, b.graph.edge(i).v);
     EXPECT_DOUBLE_EQ(a.graph.edge(i).w, b.graph.edge(i).w);
   }
+}
+
+// The oracle: every pair of points within the radius, then Prim's Euclidean
+// MST over all points, whose edges join unless the pair is already there;
+// edges keyed and ordered by (larger, smaller) endpoint. O(n^2).
+struct PairScan {
+  std::vector<Edge> edges;
+  bool radius_graph_connected = false;
+};
+
+double euclid(double ax, double ay, double bx, double by) {
+  const double dx = ax - bx, dy = ay - by;
+  return std::sqrt(dx * dx + dy * dy);
+}
+
+PairScan pair_scan_geometric(const std::vector<double>& x,
+                             const std::vector<double>& y, double radius) {
+  const int n = static_cast<int>(x.size());
+  const auto key = [](VertexId a, VertexId b) {
+    return (static_cast<std::uint64_t>(std::max(a, b)) << 32) |
+           static_cast<std::uint64_t>(std::min(a, b));
+  };
+  std::map<std::uint64_t, Edge> edges;
+  for (VertexId u = 0; u < n; ++u) {
+    for (VertexId v = u + 1; v < n; ++v) {
+      const double d = euclid(x[static_cast<size_t>(u)],
+                              y[static_cast<size_t>(u)],
+                              x[static_cast<size_t>(v)],
+                              y[static_cast<size_t>(v)]);
+      if (d <= radius && d > 0.0) edges[key(u, v)] = {u, v, d};
+    }
+  }
+  PairScan out;
+  UnionFind radius_components(n);
+  for (const auto& [k, e] : edges) radius_components.unite(e.u, e.v);
+  out.radius_graph_connected = radius_components.num_components() == 1;
+
+  std::vector<char> in_tree(static_cast<size_t>(n), 0);
+  std::vector<double> best(static_cast<size_t>(n),
+                           std::numeric_limits<double>::infinity());
+  std::vector<VertexId> best_from(static_cast<size_t>(n), 0);
+  in_tree[0] = 1;
+  for (VertexId v = 1; v < n; ++v)
+    best[static_cast<size_t>(v)] = euclid(x[0], y[0], x[static_cast<size_t>(v)],
+                                          y[static_cast<size_t>(v)]);
+  for (int step = 1; step < n; ++step) {
+    VertexId pick = kNoVertex;
+    double pick_dist = std::numeric_limits<double>::infinity();
+    for (VertexId v = 0; v < n; ++v) {
+      if (!in_tree[static_cast<size_t>(v)] &&
+          best[static_cast<size_t>(v)] < pick_dist) {
+        pick = v;
+        pick_dist = best[static_cast<size_t>(v)];
+      }
+    }
+    in_tree[static_cast<size_t>(pick)] = 1;
+    const VertexId from = best_from[static_cast<size_t>(pick)];
+    const double d = euclid(x[static_cast<size_t>(from)],
+                            y[static_cast<size_t>(from)],
+                            x[static_cast<size_t>(pick)],
+                            y[static_cast<size_t>(pick)]);
+    edges.try_emplace(key(from, pick), Edge{from, pick, std::max(d, 1e-9)});
+    for (VertexId v = 0; v < n; ++v) {
+      if (in_tree[static_cast<size_t>(v)]) continue;
+      const double dv = euclid(x[static_cast<size_t>(pick)],
+                               y[static_cast<size_t>(pick)],
+                               x[static_cast<size_t>(v)],
+                               y[static_cast<size_t>(v)]);
+      if (dv < best[static_cast<size_t>(v)]) {
+        best[static_cast<size_t>(v)] = dv;
+        best_from[static_cast<size_t>(v)] = pick;
+      }
+    }
+  }
+  for (const auto& [k, e] : edges) out.edges.push_back(e);
+  return out;
+}
+
+// Edge for edge, weights compared bit for bit.
+void expect_same_edges(const WeightedGraph& g, const std::vector<Edge>& want,
+                       const std::string& label) {
+  ASSERT_EQ(g.num_edges(), static_cast<int>(want.size())) << label;
+  for (EdgeId i = 0; i < g.num_edges(); ++i) {
+    const Edge& got = g.edge(i);
+    const Edge& w = want[static_cast<size_t>(i)];
+    ASSERT_TRUE(got.u == w.u && got.v == w.v &&
+                std::bit_cast<std::uint64_t>(got.w) ==
+                    std::bit_cast<std::uint64_t>(w.w))
+        << label << " edge " << i << ": got {" << got.u << "," << got.v
+        << "," << got.w << "} want {" << w.u << "," << w.v << "," << w.w
+        << "}";
+  }
+}
+
+std::pair<std::vector<double>, std::vector<double>> draw_points(
+    int n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> x(static_cast<size_t>(n)), y(static_cast<size_t>(n));
+  for (size_t i = 0; i < x.size(); ++i) {
+    x[i] = rng.next_double();
+    y[i] = rng.next_double();
+  }
+  return {std::move(x), std::move(y)};
+}
+
+TEST(Generators, GeometricMatchesPairScanOracle) {
+  for (int n : {2, 16, 100, 1024, 4096}) {
+    const double radius = std::sqrt(10.0 / n);  // the geo scenario's default
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      const std::string label =
+          "n=" + std::to_string(n) + " seed=" + std::to_string(seed);
+      const GeometricGraph geo = random_geometric(n, radius, seed);
+      const auto [x, y] = draw_points(n, seed);
+      EXPECT_EQ(geo.x, x) << label;
+      EXPECT_EQ(geo.y, y) << label;
+      expect_same_edges(geo.graph, pair_scan_geometric(x, y, radius).edges,
+                        label);
+    }
+  }
+}
+
+TEST(Generators, GeometricMatchesPairScanBelowConnectivity) {
+  // A radius well below the connectivity threshold: the radius graph falls
+  // apart and the Prim pass supplies the joining edges.
+  for (int n : {16, 100, 1024}) {
+    const double radius = 0.5 / std::sqrt(static_cast<double>(n));
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      const std::string label =
+          "n=" + std::to_string(n) + " seed=" + std::to_string(seed);
+      const auto [x, y] = draw_points(n, seed);
+      const PairScan want = pair_scan_geometric(x, y, radius);
+      EXPECT_FALSE(want.radius_graph_connected) << label;
+      const GeometricGraph geo = random_geometric(n, radius, seed);
+      expect_same_edges(geo.graph, want.edges, label);
+      EXPECT_TRUE(geo.graph.is_connected()) << label;
+    }
+  }
+}
+
+TEST(Generators, GeometricJoinsCoincidentPoints) {
+  // A connected radius graph whose coincident pairs have no radius edge
+  // (distance 0): the Prim pass must still run and join them at 1e-9.
+  auto [x, y] = draw_points(100, 3);
+  for (auto [dup, orig] : {std::pair{50, 10}, std::pair{99, 3},
+                           std::pair{7, 3}}) {
+    x[static_cast<size_t>(dup)] = x[static_cast<size_t>(orig)];
+    y[static_cast<size_t>(dup)] = y[static_cast<size_t>(orig)];
+  }
+  const double radius = std::sqrt(10.0 / 100);
+  const PairScan want = pair_scan_geometric(x, y, radius);
+  const GeometricGraph geo = geometric_graph(x, y, radius);
+  expect_same_edges(geo.graph, want.edges, "coincident");
+  int joined = 0;
+  for (const Edge& e : geo.graph.edges()) joined += e.w == 1e-9;
+  EXPECT_EQ(joined, 3);
+  EXPECT_TRUE(geo.graph.is_connected());
+
+  const std::vector<double> same(3, 0.25);
+  expect_same_edges(geometric_graph(same, same, 0.5).graph,
+                    pair_scan_geometric(same, same, 0.5).edges, "all equal");
+}
+
+TEST(Generators, GeometricMatchesPairScanOnCellBoundaries) {
+  // Points on a lattice of pitch exactly the radius (pairs at the radius,
+  // points on cell edges and on the square's far side), and a radius wider
+  // than the square (one cell, every pair an edge).
+  for (double radius : {0.1, 0.125, 0.25, 1.0 / 3.0}) {
+    std::vector<double> x, y;
+    for (int i = 0; i * radius <= 1.0; ++i) {
+      for (int j = 0; j * radius <= 1.0; ++j) {
+        x.push_back(i * radius);
+        y.push_back(j * radius);
+      }
+    }
+    expect_same_edges(geometric_graph(x, y, radius).graph,
+                      pair_scan_geometric(x, y, radius).edges,
+                      "lattice r=" + std::to_string(radius));
+  }
+  const auto [x, y] = draw_points(64, 5);
+  expect_same_edges(geometric_graph(x, y, 1.5).graph,
+                    pair_scan_geometric(x, y, 1.5).edges, "r=1.5");
+  EXPECT_EQ(geometric_graph(x, y, 1.5).graph.num_edges(), 64 * 63 / 2);
+}
+
+TEST(Generators, GeometricRejectsPointsOutsideTheSquare) {
+  EXPECT_THROW(geometric_graph({0.5, 1.5}, {0.5, 0.5}, 0.1),
+               std::invalid_argument);
+  EXPECT_THROW(geometric_graph({0.5, 0.5}, {0.5}, 0.1), std::invalid_argument);
 }
 
 TEST(Generators, GeometricHasLowDoublingDimension) {

@@ -3,8 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <iterator>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "api/scenario.h"
+#include "graph/generators.h"
 #include "tests/test_util.h"
 
 namespace lightnet {
@@ -86,6 +92,85 @@ TEST(WeightedGraph, HopDiameterIgnoresWeights) {
       WeightedGraph::from_edges(4, {{0, 1, 9.0}, {1, 2, 9.0}, {2, 3, 9.0}});
   EXPECT_EQ(path.hop_diameter(), 3);
   EXPECT_EQ(triangle().hop_diameter(), 1);
+}
+
+// The oracle: one BFS from every vertex, the largest distance any of them
+// reaches. O(n * m).
+int all_pairs_hop_diameter(const WeightedGraph& g) {
+  int diameter = 0;
+  std::vector<int> dist(static_cast<size_t>(g.num_vertices()));
+  for (VertexId s = 0; s < g.num_vertices(); ++s) {
+    std::fill(dist.begin(), dist.end(), -1);
+    std::deque<VertexId> queue{s};
+    dist[static_cast<size_t>(s)] = 0;
+    while (!queue.empty()) {
+      const VertexId v = queue.front();
+      queue.pop_front();
+      diameter = std::max(diameter, dist[static_cast<size_t>(v)]);
+      for (const Incidence& inc : g.incident(v)) {
+        if (dist[static_cast<size_t>(inc.neighbor)] < 0) {
+          dist[static_cast<size_t>(inc.neighbor)] =
+              dist[static_cast<size_t>(v)] + 1;
+          queue.push_back(inc.neighbor);
+        }
+      }
+    }
+  }
+  return diameter;
+}
+
+TEST(WeightedGraph, HopDiameterMatchesAllPairsOnZoos) {
+  for (const auto& zoo : {testing::small_graph_zoo(),
+                          testing::medium_graph_zoo()}) {
+    for (const testing::NamedGraph& ng : zoo)
+      EXPECT_EQ(ng.graph.hop_diameter(), all_pairs_hop_diameter(ng.graph))
+          << ng.name;
+  }
+}
+
+TEST(WeightedGraph, HopDiameterMatchesAllPairsOnScenarioFamilies) {
+  for (const std::string& family : api::scenario_families()) {
+    for (int n : {64, 256, 1024}) {
+      // The oracle costs n^3 on a clique: about a second per clique at
+      // n=1024, for a diameter of 1 that HopDiameterCornerShapes checks.
+      if (family == "clique" && n > 256) continue;
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        api::ScenarioSpec spec;
+        spec.family = family;
+        spec.n = n;
+        spec.seed = seed;
+        const WeightedGraph g = api::materialize(spec);
+        EXPECT_EQ(g.hop_diameter(), all_pairs_hop_diameter(g))
+            << family << " n=" << n << " seed=" << seed;
+      }
+    }
+  }
+}
+
+TEST(WeightedGraph, HopDiameterCornerShapes) {
+  EXPECT_EQ(WeightedGraph::from_edges(0, {}).hop_diameter(), 0);
+  EXPECT_EQ(WeightedGraph::from_edges(1, {}).hop_diameter(), 0);
+  EXPECT_EQ(WeightedGraph::from_edges(2, {{0, 1, 3.0}}).hop_diameter(), 1);
+  for (int n : {3, 17, 100}) {
+    EXPECT_EQ(path_graph(n, WeightLaw::kUniform, 9.0, 1).hop_diameter(),
+              n - 1);
+    EXPECT_EQ(star_graph(n, WeightLaw::kUniform, 9.0, 1).hop_diameter(), 2);
+    EXPECT_EQ(complete_euclidean(n, 1).graph.hop_diameter(), 1);
+  }
+  // A path relabelled out of order: the diameter does not follow the ids.
+  std::vector<Edge> shuffled;
+  const VertexId order[] = {4, 0, 6, 2, 5, 1, 3};
+  for (size_t i = 0; i + 1 < std::size(order); ++i)
+    shuffled.push_back({order[i], order[i + 1], 1.0});
+  EXPECT_EQ(WeightedGraph::from_edges(7, shuffled).hop_diameter(), 6);
+}
+
+TEST(WeightedGraph, HopDiameterRejectsDisconnected) {
+  const WeightedGraph g =
+      WeightedGraph::from_edges(4, {{0, 1, 1.0}, {2, 3, 1.0}});
+  EXPECT_THROW(g.hop_diameter(), std::invalid_argument);
+  EXPECT_THROW(WeightedGraph::from_edges(2, {}).hop_diameter(),
+               std::invalid_argument);
 }
 
 TEST(WeightedGraph, EdgeSubgraph) {

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "api/registry.h"
 #include "baseline/sequential_net.h"
@@ -69,6 +72,41 @@ NetCheck full_search_check_net(const WeightedGraph& g,
   result.separated =
       net.size() <= 1 || result.min_pair_distance > beta - 1e-9;
   return result;
+}
+
+// The greedy r-net of each sampled ball B(center, 2r), with one complete
+// Dijkstra from every net point for every ball vertex it is tested against.
+double full_search_doubling_dimension(const WeightedGraph& g,
+                                      int sample_count, std::uint64_t seed) {
+  Rng rng(seed);
+  int worst = 1;
+  for (int s = 0; s < sample_count; ++s) {
+    const VertexId center = static_cast<VertexId>(
+        rng.next_below(static_cast<std::uint64_t>(g.num_vertices())));
+    const ShortestPathTree t = dijkstra(g, center);
+    Weight max_d = 0.0;
+    for (Weight d : t.dist)
+      if (d != kInfiniteDistance) max_d = std::max(max_d, d);
+    if (max_d <= 0.0) continue;
+    const double r = rng.next_uniform(max_d / 16.0, max_d / 2.0);
+    std::vector<VertexId> ball;
+    for (VertexId v = 0; v < g.num_vertices(); ++v)
+      if (t.dist[static_cast<size_t>(v)] <= 2.0 * r) ball.push_back(v);
+    std::vector<VertexId> net;
+    for (VertexId v : ball) {
+      bool covered = false;
+      for (VertexId c : net) {
+        const ShortestPathTree tc = dijkstra(g, c);
+        if (tc.dist[static_cast<size_t>(v)] <= r) {
+          covered = true;
+          break;
+        }
+      }
+      if (!covered) net.push_back(v);
+    }
+    worst = std::max(worst, static_cast<int>(net.size()));
+  }
+  return std::log2(static_cast<double>(worst));
 }
 
 // EXPECT_EQ on doubles: the values must be identical, not merely close.
@@ -317,6 +355,36 @@ TEST(Metrics, DoublingDimensionOrdersFamilies) {
   const double d_geo = estimate_doubling_dimension(geo, 3, 1);
   const double d_er = estimate_doubling_dimension(er, 3, 1);
   EXPECT_LE(d_geo, d_er + 2.0);
+}
+
+TEST(Metrics, DoublingDimensionMatchesFullSearchOracle) {
+  std::vector<testing::NamedGraph> graphs = testing::small_graph_zoo();
+  for (testing::NamedGraph& ng : testing::medium_graph_zoo())
+    graphs.push_back(std::move(ng));
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    const std::string tag = "_s" + std::to_string(seed);
+    graphs.push_back({"er256" + tag, erdos_renyi(256, 8.0 / 256,
+                                                 WeightLaw::kUniform, 100.0,
+                                                 seed)});
+    graphs.push_back(
+        {"geo256" + tag,
+         random_geometric(256, std::sqrt(10.0 / 256), seed).graph});
+    graphs.push_back({"ring256" + tag, ring_with_chords(256, 128, 25.0, seed)});
+    graphs.push_back({"grid16x16" + tag, grid(16, 16, true, seed)});
+    graphs.push_back(
+        {"tree256" + tag, random_tree(256, WeightLaw::kUniform, 100.0, seed)});
+    graphs.push_back(
+        {"path256" + tag, path_graph(256, WeightLaw::kHeavyTail, 100.0, seed)});
+    graphs.push_back(
+        {"lb16x16" + tag, lower_bound_family(16, 16, 100.0, seed)});
+  }
+  std::uint64_t seed = 0;
+  for (const testing::NamedGraph& ng : graphs) {
+    ++seed;
+    EXPECT_EQ(estimate_doubling_dimension(ng.graph, 4, seed),
+              full_search_doubling_dimension(ng.graph, 4, seed))
+        << ng.name << " seed " << seed;
+  }
 }
 
 }  // namespace
