@@ -1,7 +1,7 @@
 // Experiment T1-row4 — light spanners for doubling graphs (Theorem 5, §7).
 //
-// Standalone driver (no google-benchmark): regenerates the doubling row of
-// Table 1 on random geometric graphs (ddim ≈ 2) and writes
+// Standalone driver: regenerates the doubling row of Table 1 on random
+// geometric graphs (ddim ≈ 2) per scale and writes
 // BENCH_doubling.json, the committed per-scale phase-breakdown trajectory
 // of the concurrent-scale pipeline. For every configuration the driver runs
 // BOTH pipelines — the fused concurrent waves and the sequential_scales

@@ -1,9 +1,11 @@
 // Fault-sweep harness: constructions × drop rates under the deterministic
 // fault-injection layer.
 //
-// Like bench_constructions this is a standalone driver (no google-benchmark
-// needed): for every construction in the sweep it runs the graceful
-// run_with_outcome path at each drop rate over several fault seeds, and
+// A standalone driver, like every bench/bench_*.cc (the fault-free
+// per-construction costs live in BENCH_table1.json, which bench/table1.py
+// builds from lightnet_cli records): for every construction in the sweep it
+// runs the graceful run_with_outcome path at each drop rate over several
+// fault seeds, and
 // writes BENCH_FAULTS.json — per-run records plus per-(construction, drop)
 // curves of success rate and round/message overhead relative to the
 // fault-free baseline. The file is committed at the repo root: every value

@@ -1,8 +1,8 @@
 // Thread-scaling benchmark for the parallel round scheduler.
 //
-// Standalone driver (no google-benchmark): runs two workloads across a
-// sweep of SchedulerOptions::threads values and writes BENCH_parallel.json,
-// the committed scaling-curve trajectory for parallel round execution:
+// Standalone driver: runs two workloads across a sweep of
+// SchedulerOptions::threads values and writes BENCH_parallel.json, the
+// committed scaling-curve trajectory for parallel round execution:
 //   - bfs/grid: raw-scheduler BFS on an r×r grid (the large-hop-diameter,
 //     frontier-wave regime the sharded delivery is built for), including
 //     one n ≥ 1M point;

@@ -1,152 +1,116 @@
-// Scheduler hot-path microbenchmarks.
-//
-// Measures raw simulator throughput (messages/sec, rounds/sec) for the two
-// canonical CONGEST workloads — BFS flood and weighted Bellman–Ford — over
-// the four topology regimes that stress different scheduler paths:
-//  - path:   diameter Θ(n), tiny frontier → active-set rounds dominate,
+// Scheduler per-round cost: raw simulator throughput (messages/sec,
+// rounds/sec) for the two canonical CONGEST workloads — BFS flood and
+// weighted Bellman–Ford — over the four topology regimes that stress
+// different scheduler paths:
+//  - path:   diameter Θ(n), tiny frontier → pure per-round overhead (one
+//            message a round),
 //  - grid:   diameter Θ(√n), frontier Θ(√n) → mixed,
 //  - geo:    random geometric, small diameter, fat frontier → arena churn,
 //  - clique: diameter 1, every edge busy every round → send resolution.
 //
-// Run with --benchmark_format=json --benchmark_out=BENCH_scheduler.json to
-// produce the trajectory file tracked across PRs.
-#include <benchmark/benchmark.h>
-
+// Standalone driver: each row repeats its run until `min_seconds` have
+// passed (at least three runs) and prints one JSON line with the median
+// and fastest ms per run, messages and rounds per second at the median,
+// and the run's model costs, which every repetition repeats exactly.
+//
+//   ./bench_scheduler [filter] [min_seconds]
+//
+// `filter` is an ECMAScript regex searched in row names such as
+// "bfs/path/1024" (default: every row); `min_seconds` defaults to 0.2.
+// perfbench times whole records; this times the scheduler alone. Compare
+// two builds by interleaving their runs and reading medians per row.
+#include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <regex>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
-#include "bench/bench_common.h"
 #include "congest/bellman_ford.h"
 #include "congest/bfs.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 
-namespace {
-
 using namespace lightnet;
 
-WeightedGraph make_instance(const std::string& family, std::int64_t n) {
-  if (family == "path")
-    return path_graph(static_cast<int>(n), WeightLaw::kUnit, 1.0, 1);
+namespace {
+
+// n is the requested vertex count; grid rounds it down to a square.
+WeightedGraph make_instance(const std::string& family, int n) {
+  if (family == "path") return path_graph(n, WeightLaw::kUnit, 1.0, 1);
   if (family == "grid") {
     const int side = static_cast<int>(std::sqrt(static_cast<double>(n)));
     return grid(side, side, /*perturb=*/true, 2);
   }
   if (family == "geo")
-    return random_geometric(static_cast<int>(n),
-                            std::sqrt(10.0 / static_cast<double>(n)), 3)
+    return random_geometric(n, std::sqrt(10.0 / static_cast<double>(n)), 3)
         .graph;
-  if (family == "clique")
-    return complete_euclidean(static_cast<int>(n), 4).graph;
-  throw std::invalid_argument("unknown bench family");
+  if (family == "clique") return complete_euclidean(n, 4).graph;
+  throw std::invalid_argument("unknown bench family " + family);
 }
 
-void report_throughput(benchmark::State& state,
-                       const congest::CostStats& last_cost,
-                       std::uint64_t total_messages,
-                       std::uint64_t total_rounds) {
-  lightnet::bench::report_cost(state, last_cost);
-  state.counters["messages_per_sec"] = benchmark::Counter(
-      static_cast<double>(total_messages), benchmark::Counter::kIsRate);
-  state.counters["rounds_per_sec"] = benchmark::Counter(
-      static_cast<double>(total_rounds), benchmark::Counter::kIsRate);
-}
+struct Row {
+  const char* workload;  // "bfs" or "bellman_ford"
+  const char* family;
+  int n;
+};
 
-void BM_SchedulerBfs(benchmark::State& state, const std::string& family) {
-  const WeightedGraph g = make_instance(family, state.range(0));
-  std::uint64_t messages = 0;
-  std::uint64_t rounds = 0;
-  congest::CostStats cost;
-  for (auto _ : state) {
-    const auto result = congest::build_bfs_tree(g, 0);
-    benchmark::DoNotOptimize(result.height);
-    cost = result.cost;
-    messages += cost.messages;
-    rounds += cost.rounds;
-  }
-  state.counters["n"] = static_cast<double>(g.num_vertices());
-  state.counters["m"] = static_cast<double>(g.num_edges());
-  report_throughput(state, cost, messages, rounds);
-}
+constexpr Row kRows[] = {
+    {"bfs", "path", 1024},           {"bfs", "path", 16384},
+    {"bfs", "path", 100000},         {"bfs", "grid", 64 * 64},
+    {"bfs", "grid", 256 * 256},      {"bfs", "grid", 512 * 512},
+    {"bfs", "geo", 10000},           {"bfs", "geo", 100000},
+    {"bfs", "clique", 256},          {"bfs", "clique", 512},
+    {"bellman_ford", "grid", 64 * 64}, {"bellman_ford", "grid", 128 * 128},
+    {"bellman_ford", "geo", 10000},  {"bellman_ford", "clique", 256},
+};
 
-// Reference mode: full sweep (every node invoked every round), same O(1)
-// sends and arena. Isolates what the active-set tracking alone buys.
-void BM_SchedulerBfsFullSweep(benchmark::State& state,
-                              const std::string& family) {
-  const WeightedGraph g = make_instance(family, state.range(0));
-  congest::SchedulerOptions sweep;
-  sweep.full_sweep = true;
-  std::uint64_t messages = 0;
-  std::uint64_t rounds = 0;
-  congest::CostStats cost;
-  for (auto _ : state) {
-    const auto result = congest::build_bfs_tree(g, 0, sweep);
-    benchmark::DoNotOptimize(result.height);
-    cost = result.cost;
-    messages += cost.messages;
-    rounds += cost.rounds;
-  }
-  state.counters["n"] = static_cast<double>(g.num_vertices());
-  state.counters["m"] = static_cast<double>(g.num_edges());
-  report_throughput(state, cost, messages, rounds);
-}
-
-void BM_SchedulerBellmanFord(benchmark::State& state,
-                             const std::string& family) {
-  const WeightedGraph g = make_instance(family, state.range(0));
-  const std::vector<VertexId> sources = {0};
-  std::uint64_t messages = 0;
-  std::uint64_t rounds = 0;
-  congest::CostStats cost;
-  for (auto _ : state) {
-    const auto result = congest::distributed_bellman_ford(g, sources);
-    benchmark::DoNotOptimize(result.dist.data());
-    cost = result.cost;
-    messages += cost.messages;
-    rounds += cost.rounds;
-  }
-  state.counters["n"] = static_cast<double>(g.num_vertices());
-  state.counters["m"] = static_cast<double>(g.num_edges());
-  report_throughput(state, cost, messages, rounds);
+congest::CostStats run_once(const std::string& workload,
+                            const WeightedGraph& g) {
+  if (workload == "bfs") return congest::build_bfs_tree(g, 0).cost;
+  const VertexId source = 0;
+  return congest::distributed_bellman_ford(g, {&source, 1}).cost;
 }
 
 }  // namespace
 
-// n is the requested vertex count; grid rounds it down to a square.
-BENCHMARK_CAPTURE(BM_SchedulerBfs, path, "path")
-    ->Arg(1024)
-    ->Arg(16384)
-    ->Arg(100000)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SchedulerBfs, grid, "grid")
-    ->Arg(64 * 64)
-    ->Arg(256 * 256)
-    ->Arg(512 * 512)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SchedulerBfs, geo, "geo")
-    ->Arg(10000)
-    ->Arg(100000)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SchedulerBfs, clique, "clique")
-    ->Arg(256)
-    ->Arg(512)
-    ->Unit(benchmark::kMillisecond);
-
-BENCHMARK_CAPTURE(BM_SchedulerBfsFullSweep, grid, "grid")
-    ->Arg(64 * 64)
-    ->Arg(256 * 256)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SchedulerBfsFullSweep, path, "path")
-    ->Arg(1024)
-    ->Unit(benchmark::kMillisecond);
-
-BENCHMARK_CAPTURE(BM_SchedulerBellmanFord, grid, "grid")
-    ->Arg(64 * 64)
-    ->Arg(128 * 128)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SchedulerBellmanFord, geo, "geo")
-    ->Arg(10000)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SchedulerBellmanFord, clique, "clique")
-    ->Arg(256)
-    ->Unit(benchmark::kMillisecond);
+int main(int argc, char** argv) {
+  const std::regex filter(argc > 1 ? argv[1] : "");
+  const double min_seconds = argc > 2 ? std::atof(argv[2]) : 0.2;
+  for (const Row& row : kRows) {
+    const std::string name = std::string(row.workload) + "/" + row.family +
+                             "/" + std::to_string(row.n);
+    if (!std::regex_search(name, filter)) continue;
+    const WeightedGraph g = make_instance(row.family, row.n);
+    std::vector<double> ms;
+    congest::CostStats cost;
+    double elapsed = 0.0;
+    while (ms.size() < 3 || elapsed < min_seconds) {
+      const auto start = std::chrono::steady_clock::now();
+      cost = run_once(row.workload, g);
+      const double dt = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+      ms.push_back(dt * 1e3);
+      elapsed += dt;
+    }
+    std::sort(ms.begin(), ms.end());
+    const double median = ms[ms.size() / 2];
+    std::printf(
+        "{\"row\":\"%s\",\"vertices\":%d,\"edges\":%d,\"runs\":%zu,"
+        "\"median_ms\":%.4f,\"min_ms\":%.4f,\"messages_per_s\":%.0f,"
+        "\"rounds_per_s\":%.0f,\"rounds\":%llu,\"messages\":%llu,"
+        "\"max_edge_load\":%llu}\n",
+        name.c_str(), g.num_vertices(), g.num_edges(), ms.size(), median,
+        ms.front(), static_cast<double>(cost.messages) / median * 1e3,
+        static_cast<double>(cost.rounds) / median * 1e3,
+        static_cast<unsigned long long>(cost.rounds),
+        static_cast<unsigned long long>(cost.messages),
+        static_cast<unsigned long long>(cost.max_edge_load));
+    std::fflush(stdout);
+  }
+  return 0;
+}

@@ -1,6 +1,7 @@
 #include "api/cli.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <exception>
 #include <string_view>
@@ -109,12 +110,16 @@ bool parse_u64_strict(const std::string& v, std::uint64_t* out) {
   return true;
 }
 
+// Non-finite values are rejected too: strtod accepts "nan" and "inf", and
+// records print both as null, so two distinct specs would share one record
+// and one cache key.
 bool parse_double_strict(const std::string& v, double* out) {
   if (v.empty()) return false;
   errno = 0;
   char* end = nullptr;
   const double parsed = std::strtod(v.c_str(), &end);
-  if (errno != 0 || end != v.c_str() + v.size()) return false;
+  if (errno != 0 || end != v.c_str() + v.size() || !std::isfinite(parsed))
+    return false;
   *out = parsed;
   return true;
 }
@@ -238,8 +243,11 @@ bool parse_spec(const std::vector<std::string>& args, ParsedSpec& spec,
         return false;
       }
     } else if (key == "radius") {
-      if (!parse_double_strict(value, &spec.params.radius)) {
-        bad_value(key, value, "number", err);
+      // 0 means auto-scale; a negative radius would run as auto too while
+      // its record and cache key said otherwise.
+      if (!parse_double_strict(value, &spec.params.radius) ||
+          spec.params.radius < 0.0) {
+        bad_value(key, value, "nonnegative number", err);
         return false;
       }
     } else if (key == "delta") {

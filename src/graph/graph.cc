@@ -4,7 +4,6 @@
 #include <cmath>
 #include <deque>
 #include <limits>
-#include <unordered_set>
 
 #include "support/assert.h"
 
@@ -13,18 +12,13 @@ namespace lightnet {
 WeightedGraph WeightedGraph::from_edges(int num_vertices,
                                         std::vector<Edge> edges) {
   LN_REQUIRE(num_vertices >= 0, "negative vertex count");
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(edges.size() * 2);
+  // Per-edge checks first: the CSR fill below indexes by endpoint.
   for (const Edge& e : edges) {
     LN_REQUIRE(e.u >= 0 && e.u < num_vertices && e.v >= 0 && e.v < num_vertices,
                "edge endpoint out of range");
     LN_REQUIRE(e.u != e.v, "self-loops are not allowed");
     LN_REQUIRE(std::isfinite(e.w) && e.w > 0.0,
                "edge weights must be positive and finite");
-    const std::uint64_t lo = static_cast<std::uint32_t>(std::min(e.u, e.v));
-    const std::uint64_t hi = static_cast<std::uint32_t>(std::max(e.u, e.v));
-    LN_REQUIRE(seen.insert((hi << 32) | lo).second,
-               "parallel edges are not allowed");
   }
 
   WeightedGraph g;
@@ -45,6 +39,16 @@ WeightedGraph WeightedGraph::from_edges(int num_vertices,
         id, e.v};
     g.adjacency_[static_cast<size_t>(cursor[static_cast<size_t>(e.v)]++)] = {
         id, e.u};
+  }
+  // A parallel edge lists one neighbour twice in an incidence list:
+  // seen_from[w] == v once w was met in v's list.
+  std::vector<VertexId> seen_from(static_cast<size_t>(num_vertices), kNoVertex);
+  for (VertexId v = 0; v < num_vertices; ++v) {
+    for (const Incidence& inc : g.incident(v)) {
+      VertexId& seen = seen_from[static_cast<size_t>(inc.neighbor)];
+      LN_REQUIRE(seen != v, "parallel edges are not allowed");
+      seen = v;
+    }
   }
   return g;
 }

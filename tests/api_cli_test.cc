@@ -221,9 +221,12 @@ TEST(Cli, HelpListsEveryAxis) {
 
 TEST(Cli, StrictValueParsingRejectsTrailingGarbage) {
   // Every unrecognized or half-parsed value is a hard error with a usage
-  // hint, never a silent atoi truncation.
+  // hint, never a silent atoi truncation. Non-finite numbers are rejected
+  // too (records print them as null), and so is a negative net radius.
   for (const char* bad : {"n=12x", "seed=3.5", "threads=two", "quality=yes",
-                          "fault.drop=0.1%", "max_rounds=-1", "n="}) {
+                          "fault.drop=0.1%", "max_rounds=-1", "n=",
+                          "eps=nan", "radius=inf", "radius=-1",
+                          "fault.drop=nan", "max_weight=-inf"}) {
     int exit_code = -1;
     run_cli_lines({"construction=slt", "topology=path", bad}, &exit_code);
     EXPECT_EQ(exit_code, 1) << bad;

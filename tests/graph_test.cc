@@ -66,6 +66,16 @@ TEST(WeightedGraph, RejectsSelfLoops) {
 TEST(WeightedGraph, RejectsParallelEdges) {
   EXPECT_THROW(WeightedGraph::from_edges(2, {{0, 1, 1.0}, {1, 0, 2.0}}),
                std::invalid_argument);
+  // The same orientation twice.
+  EXPECT_THROW(WeightedGraph::from_edges(3, {{2, 0, 1.0}, {2, 0, 3.0}}),
+               std::invalid_argument);
+  // A duplicate pair far apart in the edge list, the rest a simple path.
+  std::vector<Edge> edges;
+  for (VertexId v = 0; v + 1 < 100; ++v) edges.push_back({v, v + 1, 1.0});
+  edges.push_back({43, 42, 5.0});
+  EXPECT_NO_THROW(WeightedGraph::from_edges(100, {edges.begin(),
+                                                  edges.end() - 1}));
+  EXPECT_THROW(WeightedGraph::from_edges(100, edges), std::invalid_argument);
 }
 
 TEST(WeightedGraph, RejectsBadWeights) {

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
+#include "api/registry.h"
+#include "api/report.h"
 #include "core/doubling_spanner.h"
 #include "core/light_spanner.h"
 #include "core/nets.h"
@@ -136,6 +139,55 @@ TEST_P(PropertySeed, LeListsMatchReferenceOnRandomInstances) {
       EXPECT_EQ(got.lists[v][j].source, want.lists[v][j].source);
       EXPECT_NEAR(got.lists[v][j].dist, want.lists[v][j].dist, 1e-9);
     }
+  }
+}
+
+// The Table 1 rows the cases above leave out, run through the registry:
+// each exact metric against the bound_* its own artifact emits. A missing
+// metric or bound reads NaN, which fails every comparison.
+TEST_P(PropertySeed, RegistryRowsMeetTheirEmittedBounds) {
+  const std::uint64_t seed = GetParam();
+  const WeightedGraph g = random_instance(seed ^ 0x7AB1E1);
+  const api::RunContext ctx = api::RunContext{}.with_seed(seed);
+  constexpr double kMissing = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kSlack = 1e-9;  // relative, for FP rounding only
+  const auto run = [&](const char* name, const api::ConstructionParams& p) {
+    const api::Construction* c = api::find_construction(name);
+    api::Artifact a = c->run(g, p, ctx);
+    api::QualityReport q = api::evaluate_artifact(g, c->kind(), a);
+    return std::pair{std::move(a), std::move(q)};
+  };
+  const auto bound = [&](const api::Artifact& a, const char* key) {
+    return api::diagnostic_or(a.diagnostics, key, kMissing);
+  };
+  for (const int k : {2, 3}) {
+    api::ConstructionParams p;
+    p.k = k;
+    const auto [a, q] = run("baswana_sen", p);
+    EXPECT_LE(q.value_or("stretch", kMissing),
+              bound(a, "bound_stretch") * (1.0 + kSlack))
+        << "baswana_sen k " << k << ", seed " << seed;
+  }
+  for (const double gamma : {0.1, 0.3}) {
+    api::ConstructionParams p;
+    p.gamma = gamma;
+    const auto [a, q] = run("slt_light", p);
+    EXPECT_LE(q.value_or("root_stretch", kMissing),
+              bound(a, "bound_root_stretch") * (1.0 + kSlack))
+        << "slt_light gamma " << gamma << ", seed " << seed;
+    EXPECT_LE(q.value_or("lightness", kMissing),
+              bound(a, "bound_lightness") * (1.0 + kSlack))
+        << "slt_light gamma " << gamma << ", seed " << seed;
+  }
+  for (const double delta : {0.25, 0.5}) {
+    api::ConstructionParams p;
+    p.delta = delta;
+    const auto [a, q] = run("mst_weight_estimate", p);
+    const double ratio = q.value_or("ratio", kMissing);
+    EXPECT_GE(ratio, bound(a, "bound_ratio_lower") * (1.0 - kSlack))
+        << "mst_weight_estimate delta " << delta << ", seed " << seed;
+    EXPECT_LE(ratio, bound(a, "bound_ratio_upper") * (1.0 + kSlack))
+        << "mst_weight_estimate delta " << delta << ", seed " << seed;
   }
 }
 

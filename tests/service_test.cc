@@ -341,6 +341,10 @@ TEST(ServiceServer, RejectsSweepsWallAndUnknownAxes) {
       "construction=slt topology=path n=12 flux=3",     // unknown key
       "topology=path n=12",                             // no construction
       "construction=slt topology=path n=12x",           // trailing garbage
+      // nan and inf both print as null in a record, so serving either
+      // from the cache would answer the other's spec.
+      "construction=net topology=er n=64 radius=inf",
+      "construction=net topology=er n=64 radius=nan",
   };
   for (const std::string& spec : bad_specs) {
     const std::string response = server.handle_line(run_line(spec));
