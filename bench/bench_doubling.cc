@@ -10,7 +10,7 @@
 //   (b) the fused pipeline sends more than 1.2x the reference's messages
 // (the acceptance contract of the concurrent-scale design).
 //
-// JSON layout: one record per (n, 1/eps, hopset) with both pipelines'
+// JSON layout: one record per (n, 1/eps) with both pipelines'
 // ledgers, the quality metrics, and a "scales" array carrying each scale's
 // ScaleDiagnostics — net/seedchain/explore/pairs wall fields included.
 // Wall-clock fields (every key ending in "wall_ms") and the FP quality
@@ -39,7 +39,6 @@ namespace {
 struct Config {
   int n;
   int inv_eps;
-  bool hopset;
 };
 
 std::string scale_json(const ScaleDiagnostics& s) {
@@ -97,8 +96,7 @@ int main(int argc, char** argv) {
 
   std::vector<Config> configs;
   for (int n : {32, 64, 96, 128})
-    for (int inv_eps : {2, 4, 8}) configs.push_back({n, inv_eps, false});
-  for (int n : {32, 64}) configs.push_back({n, 8, true});
+    for (int inv_eps : {2, 4, 8}) configs.push_back({n, inv_eps});
 
   std::FILE* out = std::fopen(out_path, "w");
   if (out == nullptr) {
@@ -115,7 +113,6 @@ int main(int argc, char** argv) {
         random_geometric(cfg.n, std::sqrt(10.0 / cfg.n), 42);
     DoublingSpannerParams params;
     params.epsilon = eps;
-    params.use_hopset = cfg.hopset;
 
     double fused_wall = 0.0;
     double ref_wall = 0.0;
@@ -128,17 +125,17 @@ int main(int argc, char** argv) {
     const congest::CostStats ref_cost = ref.ledger.total();
     if (fused.spanner != ref.spanner) {
       std::fprintf(stderr,
-                   "IDENTITY VIOLATION: n=%d 1/eps=%d hopset=%d fused "
-                   "spanner differs from sequential reference\n",
-                   cfg.n, cfg.inv_eps, cfg.hopset ? 1 : 0);
+                   "IDENTITY VIOLATION: n=%d 1/eps=%d fused spanner "
+                   "differs from sequential reference\n",
+                   cfg.n, cfg.inv_eps);
       ++violations;
     }
     if (fused_cost.messages >
         ref_cost.messages + ref_cost.messages / 5) {
       std::fprintf(stderr,
-                   "MESSAGE BUDGET VIOLATION: n=%d 1/eps=%d hopset=%d fused "
+                   "MESSAGE BUDGET VIOLATION: n=%d 1/eps=%d fused "
                    "%llu messages > 1.2x reference %llu\n",
-                   cfg.n, cfg.inv_eps, cfg.hopset ? 1 : 0,
+                   cfg.n, cfg.inv_eps,
                    static_cast<unsigned long long>(fused_cost.messages),
                    static_cast<unsigned long long>(ref_cost.messages));
       ++violations;
@@ -152,7 +149,6 @@ int main(int argc, char** argv) {
     first = false;
     line += "{\"n\":" + std::to_string(cfg.n);
     line += ",\"inv_eps\":" + std::to_string(cfg.inv_eps);
-    line += ",\"hopset\":" + std::string(cfg.hopset ? "true" : "false");
     line += ",\"edges\":" + std::to_string(fused.spanner.size());
     line += ",\"scales\":" + std::to_string(fused.scales.size());
     line += ",\"max_sources_per_vertex\":" + std::to_string(max_sources);
@@ -173,9 +169,9 @@ int main(int argc, char** argv) {
     line += "]}";
     std::fputs(line.c_str(), out);
     std::printf(
-        "n=%-4d 1/eps=%d hopset=%d edges=%-5zu messages %llu vs %llu "
+        "n=%-4d 1/eps=%d edges=%-5zu messages %llu vs %llu "
         "(%.2fx) wall %.1f vs %.1f ms\n",
-        cfg.n, cfg.inv_eps, cfg.hopset ? 1 : 0, fused.spanner.size(),
+        cfg.n, cfg.inv_eps, fused.spanner.size(),
         static_cast<unsigned long long>(fused_cost.messages),
         static_cast<unsigned long long>(ref_cost.messages),
         ref_cost.messages == 0

@@ -51,7 +51,7 @@ const char kUsage[] =
     "  threads=INT[,..]            scheduler worker lanes      (default 1)\n"
     "construction params (ConstructionParams):\n"
     "  eps=FLOAT gamma=FLOAT alpha=FLOAT k=INT radius=FLOAT delta=FLOAT\n"
-    "  root=INT hopset=0|1\n"
+    "  root=INT\n"
     "scenario knobs (ScenarioSpec):\n"
     "  max_weight=FLOAT avg_degree=FLOAT geo_radius=FLOAT chord_weight=FLOAT\n"
     "  scenario=FAMILY[:n=..][:seed=..][:law=..]  one-spec sugar\n"
@@ -261,8 +261,10 @@ bool parse_spec(const std::vector<std::string>& args, ParsedSpec& spec,
         return false;
       }
     } else if (key == "hopset") {
-      if (!parse_bool_strict(value, &spec.params.use_hopset)) {
-        bad_value(key, value, "0|1", err);
+      // The mode is gone; 0 still parses so existing specs keep running.
+      bool on = false;
+      if (!parse_bool_strict(value, &on) || on) {
+        bad_value(key, value, "0", err);
         return false;
       }
     } else if (key == "max_weight") {
@@ -276,8 +278,11 @@ bool parse_spec(const std::vector<std::string>& args, ParsedSpec& spec,
         return false;
       }
     } else if (key == "geo_radius") {
-      if (!parse_double_strict(value, &spec.scenario.geo_radius)) {
-        bad_value(key, value, "number", err);
+      // 0 means auto, and so would a negative radius, under a record and
+      // cache key of its own.
+      if (!parse_double_strict(value, &spec.scenario.geo_radius) ||
+          spec.scenario.geo_radius < 0.0) {
+        bad_value(key, value, "nonnegative number", err);
         return false;
       }
     } else if (key == "chord_weight") {

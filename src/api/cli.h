@@ -13,7 +13,7 @@
 //   seed          seeds                              (default 1)
 //   law           unit|uniform|heavy_tail|exp_scales (default uniform)
 //   threads       scheduler worker lane counts       (default 1)
-//   eps gamma alpha k radius delta root hopset       ConstructionParams
+//   eps gamma alpha k radius delta root              ConstructionParams
 //   max_weight avg_degree geo_radius chord_weight    ScenarioSpec knobs
 //   scenario      family[:n=..][:seed=..][:law=..]   one-spec sugar
 //   fault.seed fault.drop fault.link_fail            congest::FaultPlan

@@ -51,7 +51,7 @@ struct ConstructionParams {
                             // net
   double delta = 0.5;       // net / mst_weight_estimate: approximation slack
   VertexId root = 0;        // tree constructions
-  bool use_hopset = false;  // doubling_spanner
+  bool use_hopset = false;  // always false: doubling_spanner rejects true
 };
 
 class Construction {

@@ -2,9 +2,9 @@
 //
 // After t rounds every vertex holds the exact min over ≤t-hop paths from the
 // source set, so running to quiescence yields exact distances, and capping
-// rounds at β yields the β-hop-bounded distances d^(β) used by the hopset
-// machinery (§7.1). A distance bound Δ prunes the exploration ball, which is
-// what "Δ-bounded shortest paths" means in the paper.
+// rounds at β (max_hops) yields the β-hop-bounded distances d^(β) of §7.1.
+// A distance bound Δ prunes the exploration ball, which is what "Δ-bounded
+// shortest paths" means in the paper.
 #pragma once
 
 #include <climits>

@@ -12,7 +12,6 @@
 #include "graph/mst.h"
 #include "routines/approx_spt.h"
 #include "routines/bounded_multisource.h"
-#include "routines/hopset.h"
 #include "support/assert.h"
 
 namespace lightnet {
@@ -48,6 +47,7 @@ DoublingSpannerResult build_doubling_spanner(
     const api::RunContext& ctx) {
   LN_REQUIRE(params.epsilon > 0.0 && params.epsilon < 1.0,
              "epsilon must be in (0, 1)");
+  LN_REQUIRE(!params.use_hopset, "the hopset mode was removed");
   const int n = g.num_vertices();
   const double eps = params.epsilon;
   DoublingSpannerResult result;
@@ -67,17 +67,6 @@ DoublingSpannerResult build_doubling_spanner(
   const auto net_handle = api::acquire_substrate(ctx, g, kNetDelta);
   const RoundedSubstrate& explore_substrate = *explore_handle;
   const RoundedSubstrate& net_substrate = *net_handle;
-
-  Hopset hopset;
-  int hop_diameter = 0;
-  if (params.use_hopset) {
-    const int beta = std::max(
-        2, static_cast<int>(std::ceil(std::sqrt(static_cast<double>(n)))));
-    HopsetResult hr = build_hopset(g, beta, ctx.seed ^ 0x48ULL);
-    result.ledger.add("hopset-build", hr.cost);
-    hopset = std::move(hr.hopset);
-    hop_diameter = g.hop_diameter();
-  }
 
   // Concurrent scales fuse consecutive explorations into shared scheduler
   // waves over channel-tagged messages; the sequential reference mode
@@ -114,7 +103,6 @@ DoublingSpannerResult build_doubling_spanner(
   // filter from the 2Δ tables is what lets a whole wave of nets be built
   // before the wave's fused exploration runs.
   WaveExploreState seed_chain;
-  BoundedMultiSourceResult hopset_seed_chain;
   // The tables the next scale's seeds are thinned from: the seed chain's in
   // concurrent mode, the last (one-scale) wave's in sequential mode.
   const std::vector<std::vector<BoundedSourceEntry>>* seed_tables = nullptr;
@@ -124,11 +112,6 @@ DoublingSpannerResult build_doubling_spanner(
   size_t wave_net_sum = 0;
   int wave_index = 0;
 
-  // Hopset-mode wave state (per-source owner radii for the union run).
-  std::vector<Weight> radius_by_source;
-  std::vector<VertexId> union_sources;
-  BoundedMultiSourceResult hopset_union;
-
   // Runs the fused exploration for the accumulated scales, then extracts
   // each scale's pairs from the sliced tables and connects them.
   const auto flush_wave = [&]() {
@@ -137,51 +120,25 @@ DoublingSpannerResult build_doubling_spanner(
 
     // --- fused exploration ---------------------------------------------
     const Clock::time_point explore_start = Clock::now();
-    WaveExploreResult wexp;
-    if (params.use_hopset) {
-      // Union run: every source bounded by the radius of the LAST scale
-      // where it is active, mirroring the scheduler-kernel wave.
-      radius_by_source.assign(static_cast<size_t>(n), -1.0);
-      union_sources.clear();
-      for (const PendingScale& p : wave)
-        for (VertexId s : p.net) {
-          if (radius_by_source[static_cast<size_t>(s)] < 0)
-            union_sources.push_back(s);
-          radius_by_source[static_cast<size_t>(s)] = 2.0 * p.scale;
-        }
-      std::sort(union_sources.begin(), union_sources.end());
-      hopset_union = bounded_multi_source_paths_hopset_wave(
-          explore_substrate.rounded, hopset, union_sources, radius_by_source,
-          hop_diameter);
-      result.ledger.add(wave_tag + "-explore", hopset_union.cost);
-    } else {
-      std::vector<WaveScale> scales;
-      scales.reserve(wave.size());
-      for (const PendingScale& p : wave)
-        scales.push_back({p.net, 2.0 * p.scale});
-      wexp = bounded_multi_source_paths_wave(explore_substrate, scales,
-                                             std::move(wave_state), ctx.sched);
-      wave_state = std::move(wexp.state);
-      result.ledger.add(wave_tag + "-explore", wexp.cost);
-    }
-    if (!concurrent)
-      seed_tables =
-          params.use_hopset ? &hopset_union.table : &wave_state.table[0];
+    std::vector<WaveScale> scales;
+    scales.reserve(wave.size());
+    for (const PendingScale& p : wave) scales.push_back({p.net, 2.0 * p.scale});
+    WaveExploreResult wexp = bounded_multi_source_paths_wave(
+        explore_substrate, scales, std::move(wave_state), ctx.sched);
+    wave_state = std::move(wexp.state);
+    result.ledger.add(wave_tag + "-explore", wexp.cost);
+    if (!concurrent) seed_tables = &wave_state.table[0];
 
     wave[0].diag.explore_wall_ms = ms_since(explore_start);
 
     // Wave-union packing certificate: the union of the wave's records at a
     // vertex (reported per scale so the registry shows the wave grouping).
     size_t max_sources = 0;
-    if (params.use_hopset) {
-      max_sources = hopset_union.max_sources_per_vertex;
-    } else {
-      for (VertexId v = 0; v < n; ++v) {
-        size_t total = 0;
-        for (const auto& chan : wave_state.table)
-          total += chan[static_cast<size_t>(v)].size();
-        max_sources = std::max(max_sources, total);
-      }
+    for (VertexId v = 0; v < n; ++v) {
+      size_t total = 0;
+      for (const auto& chan : wave_state.table)
+        total += chan[static_cast<size_t>(v)].size();
+      max_sources = std::max(max_sources, total);
     }
 
     // --- per-wave pair extraction --------------------------------------
@@ -193,14 +150,9 @@ DoublingSpannerResult build_doubling_spanner(
     // per-scale accounting bit for bit.
     const Clock::time_point pairs_start = Clock::now();
     const size_t K = wave.size();
-    for (size_t w = 0; w < K; ++w) {
-      PendingScale& p = wave[w];
-      p.diag.max_sources_per_vertex = max_sources;
-      if (w == 0 && !params.use_hopset) {
-        p.diag.explore_records_inherited = wexp.records_inherited;
-        p.diag.explore_shell_announcements = wexp.shell_announcements;
-      }
-    }
+    for (PendingScale& p : wave) p.diag.max_sources_per_vertex = max_sources;
+    wave[0].diag.explore_records_inherited = wexp.records_inherited;
+    wave[0].diag.explore_shell_announcements = wexp.shell_announcements;
     // scale_mask[v]: bit w set iff v is in wave[w]'s net.
     for (size_t w = 0; w < K; ++w)
       for (VertexId v : wave[w].net)
@@ -220,8 +172,8 @@ DoublingSpannerResult build_doubling_spanner(
     const auto each_pair = [&](const auto& visit) {
       for (VertexId t : union_net) {
         const std::uint32_t mt = scale_mask[static_cast<size_t>(t)];
-        const auto scan = [&](const std::vector<BoundedSourceEntry>& tbl) {
-          for (const BoundedSourceEntry& e : tbl) {
+        for (const auto& chan : wave_state.table)
+          for (const BoundedSourceEntry& e : chan[static_cast<size_t>(t)]) {
             if (e.source >= t) break;  // entries ascend by source
             std::uint32_t m = scale_mask[static_cast<size_t>(e.source)] & mt;
             if (m == 0) continue;
@@ -232,13 +184,6 @@ DoublingSpannerResult build_doubling_spanner(
             if (m == 0) continue;
             visit(e.source, t, m);
           }
-        };
-        if (params.use_hopset) {
-          scan(hopset_union.table[static_cast<size_t>(t)]);
-        } else {
-          for (const auto& chan : wave_state.table)
-            scan(chan[static_cast<size_t>(t)]);
-        }
       }
     };
     pair_count.assign(union_size + 1, 0);
@@ -258,25 +203,17 @@ DoublingSpannerResult build_doubling_spanner(
     for (size_t i = 0; i < union_size; ++i) {
       ++epoch;
       const VertexId s = union_net[i];
+      const auto& owner_table =
+          wave_state.table[wexp.channel_of[static_cast<size_t>(s)]];
       for (size_t j = pair_count[i]; j < pair_count[i + 1]; ++j) {
-        const bool found =
-            params.use_hopset
-                ? collect_path_edges(hopset_union.table, &hopset,
-                                     pair_targets[j], s, stamp, epoch,
-                                     path_edges)
-                : collect_path_edges(
-                      wave_state.table[wexp.channel_of[
-                          static_cast<size_t>(s)]],
-                      nullptr, pair_targets[j], s, stamp, epoch, path_edges);
+        const bool found = collect_path_edges(owner_table, pair_targets[j], s,
+                                              stamp, epoch, path_edges);
         LN_ASSERT_MSG(found, "discovered pair has no extractable path");
       }
     }
     mark_path_edges();
     for (VertexId v : union_net) scale_mask[static_cast<size_t>(v)] = 0;
     wave[0].diag.pairs_wall_ms = ms_since(pairs_start);
-    // Fused mode thins its seeds from the seed chain, so the union run's
-    // tables are dead once the pairs are walked.
-    if (concurrent) hopset_union = {};
     for (PendingScale& p : wave) result.scales.push_back(p.diag);
     wave.clear();
     wave_net_sum = 0;
@@ -334,25 +271,14 @@ DoublingSpannerResult build_doubling_spanner(
     // construction from the fused waves).
     if (concurrent && !stop) {
       const Clock::time_point chain_start = Clock::now();
-      const double next_spacing = seed_spacing * (1.0 + eps);
-      congest::CostStats chain_cost;
-      if (params.use_hopset) {
-        hopset_seed_chain = bounded_multi_source_paths_hopset(
-            explore_substrate.rounded, hopset, net.net, next_spacing,
-            hop_diameter);
-        chain_cost = hopset_seed_chain.cost;
-        seed_tables = &hopset_seed_chain.table;
-      } else {
-        const WaveScale chain_scale{net.net, next_spacing};
-        WaveExploreResult chain = bounded_multi_source_paths_wave(
-            explore_substrate, std::span<const WaveScale>(&chain_scale, 1),
-            std::move(seed_chain), ctx.sched);
-        seed_chain = std::move(chain.state);
-        chain_cost = chain.cost;
-        seed_tables = &seed_chain.table[0];
-      }
+      const WaveScale chain_scale{net.net, seed_spacing * (1.0 + eps)};
+      WaveExploreResult chain = bounded_multi_source_paths_wave(
+          explore_substrate, std::span<const WaveScale>(&chain_scale, 1),
+          std::move(seed_chain), ctx.sched);
+      seed_chain = std::move(chain.state);
+      seed_tables = &seed_chain.table[0];
       result.ledger.add("scale-" + std::to_string(scale_index) + "-seedchain",
-                        chain_cost);
+                        chain.cost);
       diag.seedchain_wall_ms = ms_since(chain_start);
     }
     PendingScale pending;

@@ -24,8 +24,10 @@
 // (the reference bench_doubling checks the fused waves against); the
 // spanner edge set is bit-identical either way.
 //
-// use_hopset switches the explorations to the hopset-accelerated variant
-// (§7.1), bounding Bellman-Ford iterations on deep graphs.
+// §7.1 shortens the explorations with [EN16]'s path-reporting shortcut
+// edges for its asymptotic round bound; the pipeline explores G alone,
+// which takes fewer rounds at every size the simulator reaches (see
+// EXPERIMENTS.md).
 #pragma once
 
 #include <vector>
@@ -39,6 +41,8 @@ namespace lightnet {
 struct DoublingSpannerParams {
   double epsilon = 0.125;  // paper analyzes ε < 1/8; larger values run but
                            // carry the rescaled constant
+  // Always false; build_doubling_spanner rejects true. Kept only while the
+  // record schema still carries the key.
   bool use_hopset = false;
 };
 
@@ -52,11 +56,10 @@ struct ScaleDiagnostics {
   // previous scale, and how small the seeded fringe was.
   size_t net_seed_points = 0;
   size_t net_active_after_seeding = 0;
-  // Exploration reuse, reported on the first scale of each wave (zero in
-  // hopset mode): records carried over from the previous wave's fixed
-  // point, and the per-link offers its boundary shell re-announced in
-  // round 0. Both modes count the same way; the sequential mode's waves
-  // hold one scale each.
+  // Exploration reuse, reported on the first scale of each wave: records
+  // carried over from the previous wave's fixed point, and the per-link
+  // offers its boundary shell re-announced in round 0. Both modes count
+  // the same way; the sequential mode's waves hold one scale each.
   size_t explore_records_inherited = 0;
   size_t explore_shell_announcements = 0;
   // Wall-clock phase breakdown (bench_doubling emits these; they are

@@ -19,9 +19,6 @@ using congest::NodeProgram;
 
 constexpr std::uint32_t kTagBoundedBatch = 41;  // batched (source, dist) pairs
 
-// Records hold hopset edge indices in a 31-bit signed field.
-constexpr size_t kMaxHopsetEdges = size_t{1} << 30;
-
 using SourceTable = std::vector<BoundedSourceEntry>;
 
 constexpr auto kBySource = [](const BoundedSourceEntry& a,
@@ -41,26 +38,21 @@ auto table_find(Table& table, VertexId source) {
 // The canonical rule for an offer of `cand` over G-edge `edge` from `from`
 // against an existing record: a strict distance improvement replaces the
 // record and returns true (the caller queues a re-announcement), an
-// equal-distance offer only canonicalizes the parent. The canonical order
-// is total: a G-edge parent always beats a hopset parent at equal
-// distance, and among G-edge parents the smallest (parent, edge) pair wins
-// (hopset records canonicalize among themselves in the Bellman-Ford loop
-// below). The final table is therefore the pointwise minimum over all
-// offers — independent of arrival order, hence bit-identical across
-// scheduler modes, reordered inboxes, and the per-scale/wave-fused
-// groupings of the doubling pipeline.
+// equal-distance offer only canonicalizes the parent. Among equal
+// distances the smallest (parent, edge) pair wins, a total order, so the
+// final table is the pointwise minimum over all offers — independent of
+// arrival order, hence bit-identical across scheduler modes, reordered
+// inboxes, and the per-scale/wave-fused groupings of the doubling
+// pipeline.
 bool offer_g_edge(BoundedSourceEntry& rec, Weight cand, VertexId from,
                   EdgeId edge) {
   const bool improved = cand < rec.dist;
   if (improved ||
       (cand == rec.dist &&
-       (rec.hopset_edge >= 0 || from < rec.parent ||
-        (from == rec.parent && edge < rec.parent_edge)))) {
+       (from < rec.parent || (from == rec.parent && edge < rec.parent_edge)))) {
     rec.dist = cand;
     rec.parent = from;
     rec.parent_edge = edge;
-    rec.hopset_edge = -1;
-    rec.hopset_forward = true;
   }
   return improved;
 }
@@ -75,28 +67,13 @@ BoundedSourceEntry g_edge_record(VertexId source, Weight dist, VertexId from,
   return e;
 }
 
-// Seeds the zero-distance record of `source` into its own (sorted) table.
-// Returns false if the table already holds one.
-bool seed_self_record(SourceTable& table, VertexId source) {
-  const auto it = table_find(table, source);
-  if (it != table.end() && it->source == source) return false;
+// Seeds the zero-distance record of `source`, which has none yet, into its
+// own (sorted) table.
+void seed_self_record(SourceTable& table, VertexId source) {
   BoundedSourceEntry e;
   e.source = source;
   e.dist = 0.0;
-  table.insert(it, e);
-  return true;
-}
-
-// Relaxation into a source-sorted table (the hopset Bellman-Ford loop):
-// inserts keep the order, existing records follow offer_g_edge.
-bool relax_edge(SourceTable& table, VertexId source, Weight cand,
-                VertexId from, EdgeId edge) {
-  const auto it = table_find(table, source);
-  if (it == table.end() || it->source != source) {
-    table.insert(it, g_edge_record(source, cand, from, edge));
-    return true;
-  }
-  return offer_g_edge(*it, cand, from, edge);
+  table.insert(table_find(table, source), e);
 }
 
 // Open-addressing index from source id to a record's position in one
@@ -383,12 +360,6 @@ class WaveProgram final : public NodeProgram {
 
 constexpr std::uint8_t kNoChannel = 0xff;
 
-void finalize_tables(BoundedMultiSourceResult& result) {
-  for (const SourceTable& table : result.table)
-    result.max_sources_per_vertex =
-        std::max(result.max_sources_per_vertex, table.size());
-}
-
 }  // namespace
 
 BoundedMultiSourceResult bounded_multi_source_paths(
@@ -400,7 +371,9 @@ BoundedMultiSourceResult bounded_multi_source_paths(
   BoundedMultiSourceResult result;
   result.table = std::move(wave.state.table[0]);
   result.cost = wave.cost;
-  finalize_tables(result);
+  for (const SourceTable& table : result.table)
+    result.max_sources_per_vertex =
+        std::max(result.max_sources_per_vertex, table.size());
   return result;
 }
 
@@ -523,155 +496,6 @@ WaveExploreResult bounded_multi_source_paths_wave(
   return result;
 }
 
-namespace {
-
-// Shared delta-list Bellman-Ford of the hopset entry points. Every source s
-// is bounded by `radius_by_source[s]` when the span is non-empty (the wave
-// union run of the concurrent pipeline), by `radius` otherwise.
-BoundedMultiSourceResult run_hopset_bf(const WeightedGraph& h,
-                                       const Hopset& hopset,
-                                       std::span<const VertexId> sources,
-                                       std::span<const Weight> radius_by_source,
-                                       Weight radius, int hop_diameter) {
-  const size_t n = static_cast<size_t>(h.num_vertices());
-  const auto radius_of = [&](VertexId s) {
-    return radius_by_source.empty() ? radius
-                                    : radius_by_source[static_cast<size_t>(s)];
-  };
-  BoundedMultiSourceResult result;
-  result.table.resize(n);
-
-  LN_REQUIRE(hopset.edges.size() <= kMaxHopsetEdges,
-             "hopset has more edges than a record can index");
-  // Per-hub incidence over the hopset's virtual edges (the forward flag
-  // records which endpoint the stored u→v path leaves from).
-  struct HopsetIncidence {
-    int edge;
-    bool forward;
-  };
-  std::vector<std::vector<HopsetIncidence>> hopset_inc(n);
-  for (size_t i = 0; i < hopset.edges.size(); ++i) {
-    const HopsetEdge& he = hopset.edges[i];
-    hopset_inc[static_cast<size_t>(he.u)].push_back(
-        {static_cast<int>(i), true});
-    hopset_inc[static_cast<size_t>(he.v)].push_back(
-        {static_cast<int>(i), false});
-  }
-
-  // Delta lists: only records whose distance changed in the previous
-  // iteration relax their incident edges — no per-iteration clone of the
-  // whole vector-of-tables state.
-  std::vector<std::pair<VertexId, VertexId>> dirty;  // (vertex, source)
-  for (VertexId s : sources) {
-    LN_REQUIRE(s >= 0 && s < h.num_vertices(), "source out of range");
-    if (seed_self_record(result.table[static_cast<size_t>(s)], s))
-      dirty.emplace_back(s, s);
-  }
-  std::sort(dirty.begin(), dirty.end());
-
-  congest::CostStats cost;
-  std::vector<std::pair<VertexId, VertexId>> next_dirty;
-  const int iterations = hopset.hop_limit * 3;
-  for (int it = 0; it < iterations && !dirty.empty(); ++it) {
-    next_dirty.clear();
-    std::uint64_t hub_updates = 0;
-    std::uint64_t edge_offers = 0;
-    for (const auto& [v, s] : dirty) {
-      const auto rec =
-          table_find(result.table[static_cast<size_t>(v)], s);
-      LN_ASSERT(rec != result.table[static_cast<size_t>(v)].end() &&
-                rec->source == s);
-      const Weight dv = rec->dist;
-      const Weight rs = radius_of(s);
-      // One synchronous relaxation over v's G-edges (the record's value is
-      // broadcast on every incident link).
-      for (const Incidence& inc : h.incident(v)) {
-        ++edge_offers;
-        const Weight cand = dv + h.edge(inc.edge).w;
-        if (cand > rs) continue;
-        if (relax_edge(result.table[static_cast<size_t>(inc.neighbor)], s,
-                       cand, v, inc.edge))
-          next_dirty.emplace_back(inc.neighbor, s);
-      }
-      // Hopset-edge relaxations: hubs exchange their estimates globally
-      // (Lemma 1: O(M + D) rounds for M hub updates) and relax F locally.
-      for (const HopsetIncidence& hi : hopset_inc[static_cast<size_t>(v)]) {
-        const HopsetEdge& he = hopset.edges[static_cast<size_t>(hi.edge)];
-        const VertexId to = hi.forward ? he.v : he.u;
-        const Weight cand = dv + he.length;
-        if (cand > rs) continue;
-        SourceTable& to_table = result.table[static_cast<size_t>(to)];
-        auto target = table_find(to_table, s);
-        if (target == to_table.end() || target->source != s) {
-          BoundedSourceEntry e;
-          e.source = s;
-          e.dist = cand;
-          e.parent = v;
-          e.hopset_edge = hi.edge;
-          e.hopset_forward = hi.forward;
-          to_table.insert(target, e);
-        } else if (cand < target->dist) {
-          target->dist = cand;
-          target->parent = v;
-          target->parent_edge = kNoEdge;
-          target->hopset_edge = hi.edge;
-          target->hopset_forward = hi.forward;
-        } else {
-          // Equal-distance canonicalization among hopset parents (a G-edge
-          // parent always outranks us — see offer_g_edge): smallest
-          // (parent, hopset_edge) wins, making the fixed point independent
-          // of relaxation order. No distance changed, so nothing re-dirties
-          // and no hub update is charged.
-          if (cand == target->dist && target->hopset_edge >= 0 &&
-              (v < target->parent ||
-               (v == target->parent && hi.edge < target->hopset_edge))) {
-            target->parent = v;
-            target->parent_edge = kNoEdge;
-            target->hopset_edge = hi.edge;
-            target->hopset_forward = hi.forward;
-          }
-          continue;
-        }
-        next_dirty.emplace_back(to, s);
-        ++hub_updates;
-      }
-    }
-    std::sort(next_dirty.begin(), next_dirty.end());
-    next_dirty.erase(std::unique(next_dirty.begin(), next_dirty.end()),
-                     next_dirty.end());
-    std::swap(dirty, next_dirty);
-    cost.rounds +=
-        1 + hub_updates + 2 * static_cast<std::uint64_t>(hop_diameter);
-    cost.messages +=
-        edge_offers +
-        hub_updates * (static_cast<std::uint64_t>(hop_diameter) + 1);
-    cost.words = cost.messages * 2;
-    cost.max_edge_load = 1;
-  }
-
-  finalize_tables(result);
-  result.cost = cost;
-  return result;
-}
-
-}  // namespace
-
-BoundedMultiSourceResult bounded_multi_source_paths_hopset(
-    const WeightedGraph& h, const Hopset& hopset,
-    std::span<const VertexId> sources, Weight radius, int hop_diameter) {
-  return run_hopset_bf(h, hopset, sources, {}, radius, hop_diameter);
-}
-
-BoundedMultiSourceResult bounded_multi_source_paths_hopset_wave(
-    const WeightedGraph& h, const Hopset& hopset,
-    std::span<const VertexId> sources,
-    std::span<const Weight> radius_by_source, int hop_diameter) {
-  LN_REQUIRE(radius_by_source.size() == static_cast<size_t>(h.num_vertices()),
-             "radius_by_source must be indexed by vertex id");
-  return run_hopset_bf(h, hopset, sources, radius_by_source, /*radius=*/0.0,
-                       hop_diameter);
-}
-
 const BoundedSourceEntry* find_source_entry(
     const std::vector<std::vector<BoundedSourceEntry>>& table, VertexId v,
     VertexId source) {
@@ -682,34 +506,16 @@ const BoundedSourceEntry* find_source_entry(
 }
 
 std::vector<EdgeId> extract_path(const BoundedMultiSourceResult& result,
-                                 const Hopset* hopset, VertexId target,
-                                 VertexId source) {
+                                 VertexId target, VertexId source) {
   std::vector<EdgeId> path;
   VertexId cur = target;
-  size_t guard = 0;
   while (cur != source) {
     const BoundedSourceEntry* e = find_source_entry(result.table, cur, source);
     if (e == nullptr) return {};
-    if (e->hopset_edge >= 0) {
-      LN_ASSERT_MSG(hopset != nullptr,
-                    "hopset record without a hopset to expand it");
-      const HopsetEdge& he =
-          hopset->edges[static_cast<size_t>(e->hopset_edge)];
-      // Path is stored u->v; walking backwards from `cur` we append it
-      // reversed when the relaxation went u->v (cur == v side).
-      if (e->hopset_forward) {
-        path.insert(path.end(), he.path.rbegin(), he.path.rend());
-      } else {
-        path.insert(path.end(), he.path.begin(), he.path.end());
-      }
-      cur = e->parent;
-    } else if (e->parent == kNoVertex) {
-      break;  // reached the source record
-    } else {
-      path.push_back(e->parent_edge);
-      cur = e->parent;
-    }
-    LN_ASSERT_MSG(++guard <= result.table.size() * 4,
+    if (e->parent == kNoVertex) break;  // reached the source record
+    path.push_back(e->parent_edge);
+    cur = e->parent;
+    LN_ASSERT_MSG(path.size() <= result.table.size(),
                   "path extraction did not terminate");
   }
   std::reverse(path.begin(), path.end());
@@ -717,9 +523,8 @@ std::vector<EdgeId> extract_path(const BoundedMultiSourceResult& result,
 }
 
 bool collect_path_edges(
-    const std::vector<std::vector<BoundedSourceEntry>>& table,
-    const Hopset* hopset, VertexId target, VertexId source,
-    std::vector<std::uint32_t>& stamp, std::uint32_t epoch,
+    const std::vector<std::vector<BoundedSourceEntry>>& table, VertexId target,
+    VertexId source, std::vector<std::uint32_t>& stamp, std::uint32_t epoch,
     std::vector<EdgeId>& out) {
   VertexId cur = target;
   size_t guard = 0;
@@ -730,20 +535,10 @@ bool collect_path_edges(
     stamp[static_cast<size_t>(cur)] = epoch;
     const BoundedSourceEntry* e = find_source_entry(table, cur, source);
     if (e == nullptr) return false;
-    if (e->hopset_edge >= 0) {
-      LN_ASSERT_MSG(hopset != nullptr,
-                    "hopset record without a hopset to expand it");
-      const HopsetEdge& he =
-          hopset->edges[static_cast<size_t>(e->hopset_edge)];
-      out.insert(out.end(), he.path.begin(), he.path.end());
-      cur = e->parent;
-    } else if (e->parent == kNoVertex) {
-      break;  // reached the source record
-    } else {
-      out.push_back(e->parent_edge);
-      cur = e->parent;
-    }
-    LN_ASSERT_MSG(++guard <= table.size() * 4,
+    if (e->parent == kNoVertex) break;  // reached the source record
+    out.push_back(e->parent_edge);
+    cur = e->parent;
+    LN_ASSERT_MSG(++guard <= table.size(),
                   "path extraction did not terminate");
   }
   return true;

@@ -29,15 +29,9 @@
 // fault-reordered inboxes, warm starts and wave slices; the tests check
 // every one of them against a sequential oracle (one bounded Dijkstra
 // search per source plus that tie-break).
-//
-// The optional hopset mode reproduces the paper's acceleration: delta-list
-// Bellman-Ford over G interleaved with global exchanges of hub estimates
-// (charged per Lemma 1), with hopset edges relaxed through their reported
-// paths so the spanner can still add real G-edges. Only records that
-// changed in the previous iteration are relaxed (no per-iteration clone of
-// the full state).
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -45,7 +39,6 @@
 #include "congest/stats.h"
 #include "graph/graph.h"
 #include "routines/approx_spt.h"
-#include "routines/hopset.h"
 
 namespace lightnet {
 
@@ -53,12 +46,10 @@ struct BoundedSourceEntry {
   Weight dist = 0.0;
   VertexId source = kNoVertex;
   VertexId parent = kNoVertex;   // kNoVertex at the source itself
-  EdgeId parent_edge = kNoEdge;  // kNoEdge at source; otherwise a G-edge or
-  int hopset_edge : 31 = -1;     // index into hopset.edges when relaxed via F
-  bool hopset_forward : 1 = true;  // orientation of that hopset edge
+  EdgeId parent_edge = kNoEdge;  // kNoEdge at the source itself
 };
 static_assert(sizeof(BoundedSourceEntry) == 24,
-              "the hopset edge and its orientation share one word");
+              "records stay 24 bytes: 4 bytes of padding follow parent_edge");
 
 struct BoundedMultiSourceResult {
   // table[v]: entries sorted by source id; one per source with
@@ -141,24 +132,6 @@ WaveExploreResult bounded_multi_source_paths_wave(
     const RoundedSubstrate& substrate, std::span<const WaveScale> scales,
     WaveExploreState prev, congest::SchedulerOptions sched = {});
 
-// Hopset-accelerated implementation over `h`, which must already carry the
-// (1+ε)-rounded weights: at most `hopset.hop_limit * 3` delta-list
-// Bellman-Ford iterations, hub estimates exchanged globally each iteration
-// (Lemma 1 charge). Produces the same table interface.
-BoundedMultiSourceResult bounded_multi_source_paths_hopset(
-    const WeightedGraph& h, const Hopset& hopset,
-    std::span<const VertexId> sources, Weight radius, int hop_diameter);
-
-// Hopset-accelerated wave: the per-wave union run of the concurrent
-// pipeline's hopset mode. Each source s is bounded by
-// radius_by_source[s] (indexed by vertex id) instead of one shared radius;
-// with the canonical tie-breaking of the hopset relaxations the sliced
-// tables match per-scale runs exactly, mirroring the scheduler-kernel wave.
-BoundedMultiSourceResult bounded_multi_source_paths_hopset_wave(
-    const WeightedGraph& h, const Hopset& hopset,
-    std::span<const VertexId> sources,
-    std::span<const Weight> radius_by_source, int hop_diameter);
-
 // Binary search over table[v] (sorted by source); nullptr if the source's
 // ball does not reach v. `table` is a result's table or one channel of a
 // wave state.
@@ -167,11 +140,10 @@ const BoundedSourceEntry* find_source_entry(
     VertexId source);
 
 // Walks parent records back from `target` to `source`, returning G-edge ids
-// (hopset records expand to their reported paths). Empty if the source's
-// ball does not reach target.
+// in source-to-target order. Empty if the source's ball does not reach
+// target.
 std::vector<EdgeId> extract_path(const BoundedMultiSourceResult& result,
-                                 const Hopset* hopset, VertexId target,
-                                 VertexId source);
+                                 VertexId target, VertexId source);
 
 // Memoized union-of-paths extraction: appends the edges of the
 // source→target path to `out`, stopping early at any vertex whose
@@ -182,9 +154,8 @@ std::vector<EdgeId> extract_path(const BoundedMultiSourceResult& result,
 // `table` is a result's table or, for a wave, the source's owning channel
 // (all of a source's records live there).
 bool collect_path_edges(
-    const std::vector<std::vector<BoundedSourceEntry>>& table,
-    const Hopset* hopset, VertexId target, VertexId source,
-    std::vector<std::uint32_t>& stamp, std::uint32_t epoch,
+    const std::vector<std::vector<BoundedSourceEntry>>& table, VertexId target,
+    VertexId source, std::vector<std::uint32_t>& stamp, std::uint32_t epoch,
     std::vector<EdgeId>& out);
 
 }  // namespace lightnet

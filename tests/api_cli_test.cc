@@ -222,15 +222,35 @@ TEST(Cli, HelpListsEveryAxis) {
 TEST(Cli, StrictValueParsingRejectsTrailingGarbage) {
   // Every unrecognized or half-parsed value is a hard error with a usage
   // hint, never a silent atoi truncation. Non-finite numbers are rejected
-  // too (records print them as null), and so is a negative net radius.
+  // too (records print them as null), and so are a negative net or geo
+  // radius and the removed hopset mode.
   for (const char* bad : {"n=12x", "seed=3.5", "threads=two", "quality=yes",
                           "fault.drop=0.1%", "max_rounds=-1", "n=",
                           "eps=nan", "radius=inf", "radius=-1",
-                          "fault.drop=nan", "max_weight=-inf"}) {
+                          "fault.drop=nan", "max_weight=-inf",
+                          "geo_radius=-1", "hopset=1"}) {
     int exit_code = -1;
     run_cli_lines({"construction=slt", "topology=path", bad}, &exit_code);
     EXPECT_EQ(exit_code, 1) << bad;
   }
+}
+
+TEST(Cli, HopsetZeroStillParsesAsTheDefault) {
+  // The removed mode's key keeps accepting its old default, which leaves
+  // the record unchanged.
+  int with_code = -1;
+  int without_code = -1;
+  const auto with = run_cli_lines({"construction=doubling_spanner",
+                                   "topology=path", "n=12", "hopset=0",
+                                   "wall=0"},
+                                  &with_code);
+  const auto without = run_cli_lines(
+      {"construction=doubling_spanner", "topology=path", "n=12", "wall=0"},
+      &without_code);
+  EXPECT_EQ(with_code, 0);
+  EXPECT_EQ(without_code, 0);
+  ASSERT_EQ(with.size(), 1u);
+  EXPECT_EQ(with, without);
 }
 
 TEST(Cli, MaxRoundsAxisAbortsGracefully) {

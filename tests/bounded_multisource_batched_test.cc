@@ -53,8 +53,8 @@ TEST(BoundedBatched, ExtractedPathsMatchOracle) {
       testing::oracle_explore(substrate.rounded, sources, radius);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     for (const BoundedSourceEntry& e : r.table[static_cast<size_t>(v)]) {
-      const std::vector<EdgeId> path = extract_path(r, nullptr, v, e.source);
-      EXPECT_EQ(path, extract_path(oracle, nullptr, v, e.source))
+      const std::vector<EdgeId> path = extract_path(r, v, e.source);
+      EXPECT_EQ(path, extract_path(oracle, v, e.source))
           << "vertex " << v << " source " << e.source;
       Weight sum = 0.0;
       for (EdgeId id : path) sum += g.edge(id).w;
@@ -73,10 +73,10 @@ TEST(BoundedBatched, CollectPathEdgesUnionMatchesExtractPath) {
   for (VertexId v = 0; v < g.num_vertices(); ++v)
     if (find_source_entry(r.table, v, 0) != nullptr)
       EXPECT_TRUE(
-          collect_path_edges(r.table, nullptr, v, 0, stamp, 1, collected));
+          collect_path_edges(r.table, v, 0, stamp, 1, collected));
   std::vector<EdgeId> reference;
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    const std::vector<EdgeId> path = extract_path(r, nullptr, v, 0);
+    const std::vector<EdgeId> path = extract_path(r, v, 0);
     reference.insert(reference.end(), path.begin(), path.end());
   }
   EXPECT_EQ(dedupe_edge_ids(std::move(collected)),

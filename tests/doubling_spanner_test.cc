@@ -80,19 +80,6 @@ TEST(DoublingSpanner, SparsityPerVertexBounded) {
             static_cast<size_t>(48.0 * 64.0 * std::log2(48.0)));
 }
 
-TEST(DoublingSpanner, HopsetModePreservesStretch) {
-  const GeometricGraph geo = random_geometric(28, 0.4, 8);
-  DoublingSpannerParams plain;
-  plain.epsilon = 0.125;
-  const api::RunContext ctx = api::RunContext{}.with_seed(3);
-  DoublingSpannerParams fast = plain;
-  fast.use_hopset = true;
-  const DoublingSpannerResult a = build_doubling_spanner(geo.graph, plain, ctx);
-  const DoublingSpannerResult b = build_doubling_spanner(geo.graph, fast, ctx);
-  EXPECT_LE(max_edge_stretch(geo.graph, a.spanner), 1.0 + 30.0 * 0.125);
-  EXPECT_LE(max_edge_stretch(geo.graph, b.spanner), 1.0 + 30.0 * 0.125);
-}
-
 TEST(DoublingSpanner, WorksOnGridsToo) {
   // Grids have ddim ≈ 2 as well.
   const WeightedGraph g = grid(6, 6, /*perturb=*/true, 9);
@@ -121,6 +108,10 @@ TEST(DoublingSpanner, RejectsBadEpsilon) {
   params.epsilon = 0.0;
   EXPECT_THROW(build_doubling_spanner(g, params, {}), std::invalid_argument);
   params.epsilon = 1.0;
+  EXPECT_THROW(build_doubling_spanner(g, params, {}), std::invalid_argument);
+  // The hopset mode was removed; its flag survives only in the schema.
+  params.epsilon = 0.25;
+  params.use_hopset = true;
   EXPECT_THROW(build_doubling_spanner(g, params, {}), std::invalid_argument);
 }
 

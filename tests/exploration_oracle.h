@@ -65,9 +65,9 @@ inline BoundedMultiSourceResult oracle_explore(
 }
 
 // Counts the entries where `got` differs from `want` in any field (source,
-// dist, parent, parent_edge, hopset_edge, hopset_forward — dist compared
-// with ==, not a tolerance), plus every vertex whose sources do not ascend
-// strictly or whose table size differs. `first` describes the first one.
+// dist, parent, parent_edge — dist compared with ==, not a tolerance), plus
+// every vertex whose sources do not ascend strictly or whose table size
+// differs. `first` describes the first one.
 inline size_t count_table_mismatches(const SourceTables& got,
                                      const SourceTables& want,
                                      std::string& first) {
@@ -93,14 +93,12 @@ inline size_t count_table_mismatches(const SourceTables& got,
       const BoundedSourceEntry& a = got[v][j];
       const BoundedSourceEntry& b = want[v][j];
       if (a.source != b.source || a.dist != b.dist || a.parent != b.parent ||
-          a.parent_edge != b.parent_edge || a.hopset_edge != b.hopset_edge ||
-          a.hopset_forward != b.hopset_forward) {
+          a.parent_edge != b.parent_edge) {
         std::ostringstream os;
         os.precision(17);
         os << "source " << a.source << "/" << b.source << " dist " << a.dist
            << "/" << b.dist << " parent " << a.parent << "/" << b.parent
-           << " edge " << a.parent_edge << "/" << b.parent_edge
-           << " hopset_edge " << a.hopset_edge << "/" << b.hopset_edge;
+           << " edge " << a.parent_edge << "/" << b.parent_edge;
         note(v, os.str());
       }
     }

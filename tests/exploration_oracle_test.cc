@@ -97,7 +97,7 @@ TEST(ExplorationOracle, OracleRealizesBoundedDijkstraDistances) {
         // The parent chain is tight: summed from the source it gives the
         // distance exactly.
         Weight sum = 0.0;
-        for (EdgeId id : extract_path(oracle, nullptr, v, s))
+        for (EdgeId id : extract_path(oracle, v, s))
           sum += h.edge(id).w;
         EXPECT_EQ(sum, e->dist) << name << " s=" << s << " v=" << v;
       }

@@ -4,8 +4,10 @@
 // random instances and seeds beyond the fixed zoo used by the unit tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "api/registry.h"
 #include "api/report.h"
@@ -167,6 +169,26 @@ TEST_P(PropertySeed, RegistryRowsMeetTheirEmittedBounds) {
     EXPECT_LE(q.value_or("stretch", kMissing),
               bound(a, "bound_stretch") * (1.0 + kSlack))
         << "baswana_sen k " << k << ", seed " << seed;
+  }
+  // elkin_neiman ignores weights, so its bound is on hops: every graph
+  // edge's endpoints are joined in the artifact within bound_hop_stretch
+  // hops (BFS from every vertex; an unreached endpoint reads -1 and fails).
+  for (const int k : {2, 3}) {
+    api::ConstructionParams p;
+    p.k = k;
+    const api::Artifact a =
+        api::find_construction("elkin_neiman")->run(g, p, ctx);
+    const WeightedGraph h = g.edge_subgraph(a.edges);
+    int max_hops = 0;
+    for (VertexId u = 0; u < g.num_vertices(); ++u) {
+      const std::vector<int> hops = bfs_hops(h, u);
+      for (const Incidence& inc : g.incident(u)) {
+        const int d = hops[static_cast<size_t>(inc.neighbor)];
+        max_hops = std::max(max_hops, d < 0 ? g.num_vertices() : d);
+      }
+    }
+    EXPECT_LE(max_hops, bound(a, "bound_hop_stretch"))
+        << "elkin_neiman k " << k << ", seed " << seed;
   }
   for (const double gamma : {0.1, 0.3}) {
     api::ConstructionParams p;

@@ -345,6 +345,10 @@ TEST(ServiceServer, RejectsSweepsWallAndUnknownAxes) {
       // from the cache would answer the other's spec.
       "construction=net topology=er n=64 radius=inf",
       "construction=net topology=er n=64 radius=nan",
+      // A negative geo radius would build the auto radius under a cache
+      // key of its own.
+      "construction=net topology=geo n=64 geo_radius=-1",
+      "construction=doubling_spanner topology=er n=64 hopset=1",  // removed
   };
   for (const std::string& spec : bad_specs) {
     const std::string response = server.handle_line(run_line(spec));

@@ -4,8 +4,7 @@
 // (sources, radius)-slice of the owning channels' records, bit-identical to
 // the sequential oracle at that scale (tests/exploration_oracle.h). Also
 // covers warm starts across waves (per-link filtered shells, retired-source
-// tombstones) and the hopset-union variant with per-source radii, whose
-// slices are checked against standalone hopset runs.
+// tombstones).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -13,7 +12,6 @@
 #include "graph/generators.h"
 #include "routines/approx_spt.h"
 #include "routines/bounded_multisource.h"
-#include "routines/hopset.h"
 #include "tests/exploration_oracle.h"
 #include "tests/test_util.h"
 
@@ -93,48 +91,6 @@ TEST(WaveExplore, WarmStartAcrossWavesMatchesOracle) {
     EXPECT_GT(b.pruned_records, 0u);  // every_kth(n,2) sources retired
     testing::expect_wave_matches_oracle(b.state, substrate.rounded, wave_b,
                                         "warm wave");
-  }
-}
-
-TEST(WaveExplore, HopsetWaveSlicesMatchPerScaleHopsetRuns) {
-  const WeightedGraph g = erdos_renyi(48, 0.15, WeightLaw::kUniform, 20.0, 7);
-  const WeightedGraph h = round_weights_up(g, 0.1);
-  const Hopset hopset = build_hopset(h, /*hop_limit=*/4, 77).hopset;
-  const int n = g.num_vertices();
-
-  const std::vector<std::vector<VertexId>> nets = {every_kth(n, 2),
-                                                   every_kth(n, 3),
-                                                   every_kth(n, 5)};
-  const std::vector<Weight> radii = {3.0, 5.0, 8.0};
-
-  // Union run: every source bounded by the radius of the LAST scale where
-  // it is active (its owner), mirroring the scheduler-kernel wave.
-  std::vector<Weight> radius_by_source(static_cast<size_t>(n), -1.0);
-  std::vector<VertexId> union_sources;
-  for (size_t i = 0; i < nets.size(); ++i)
-    for (VertexId s : nets[i]) {
-      if (radius_by_source[static_cast<size_t>(s)] < 0)
-        union_sources.push_back(s);
-      radius_by_source[static_cast<size_t>(s)] = radii[i];
-    }
-  std::sort(union_sources.begin(), union_sources.end());
-  const BoundedMultiSourceResult wave = bounded_multi_source_paths_hopset_wave(
-      h, hopset, union_sources, radius_by_source, /*hop_diameter=*/4);
-
-  for (size_t i = 0; i < nets.size(); ++i) {
-    const BoundedMultiSourceResult ref = bounded_multi_source_paths_hopset(
-        h, hopset, nets[i], radii[i], /*hop_diameter=*/4);
-    // Slice the union table down to this scale's sources and radius.
-    std::vector<char> active(static_cast<size_t>(n), 0);
-    for (VertexId s : nets[i]) active[static_cast<size_t>(s)] = 1;
-    std::vector<std::vector<BoundedSourceEntry>> sliced(
-        static_cast<size_t>(n));
-    for (VertexId v = 0; v < n; ++v)
-      for (const BoundedSourceEntry& e : wave.table[static_cast<size_t>(v)])
-        if (active[static_cast<size_t>(e.source)] && e.dist <= radii[i])
-          sliced[static_cast<size_t>(v)].push_back(e);
-    testing::expect_tables_match(sliced, ref.table,
-                                 "hopset scale " + std::to_string(i));
   }
 }
 
