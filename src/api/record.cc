@@ -115,6 +115,7 @@ RunRecord run_and_record(const WeightedGraph& g, int hop_diameter,
   const double wall_ms = std::chrono::duration<double, std::milli>(
                              std::chrono::steady_clock::now() - start)
                              .count();
+  out.messages = artifact.ledger.total().messages;
 
   std::string line = "{\"construction\":\"";
   line += std::string(c.name()) + "\"";
@@ -189,16 +190,23 @@ std::string canonical_run_key(const RunSpec& spec) {
   return key;
 }
 
-std::string canonical_run_hash(const std::string& canonical_key) {
-  // FNV-1a, 64-bit.
+std::uint64_t canonical_run_fnv1a(const std::string& canonical_key) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (const char ch : canonical_key) {
     h ^= static_cast<unsigned char>(ch);
     h *= 0x100000001b3ULL;
   }
+  return h;
+}
+
+std::string canonical_run_hash(const std::string& canonical_key) {
+  return canonical_run_hash(canonical_run_fnv1a(canonical_key));
+}
+
+std::string canonical_run_hash(std::uint64_t fnv1a) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(h));
+                static_cast<unsigned long long>(fnv1a));
   return std::string(buf, 16);
 }
 

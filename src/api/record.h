@@ -73,6 +73,9 @@ struct RunRecord {
   bool threads_clamped = false;
   // Meaningful only for graceful runs (fault or max_rounds active).
   RunOutcome outcome = RunOutcome::kCompleted;
+  // The ledger's total simulated messages (0 for an error record): the
+  // service weighs a record's recompute cost by it.
+  std::uint64_t messages = 0;
 };
 
 // `base` with the knobs a spec pins copied in: the seed (the scenario's) and
@@ -103,8 +106,13 @@ std::string canonical_run_key(const RunSpec& spec);
 // shared by runs of different constructions.
 std::string canonical_scenario_key(const ScenarioSpec& scenario);
 
-// 64-bit FNV-1a of the canonical key, rendered as 16 hex digits — the
-// compact request hash the service reports alongside each response.
+// 64-bit FNV-1a of the canonical key. The service's artifact-cache
+// admission sketch derives its counter positions from it.
+std::uint64_t canonical_run_fnv1a(const std::string& canonical_key);
+
+// canonical_run_fnv1a rendered as 16 hex digits — the compact request hash
+// the service reports alongside each response.
 std::string canonical_run_hash(const std::string& canonical_key);
+std::string canonical_run_hash(std::uint64_t fnv1a);
 
 }  // namespace lightnet::api

@@ -40,8 +40,7 @@ class BellmanFordProgram final : public NodeProgram {
         dirty_ = true;
       }
     }
-    // Round t's sends realize paths of t+1 hops at the receiver; cap there.
-    if (dirty_ && ctx.round() < options_.max_hops) {
+    if (dirty_) {
       const Message msg(
           kTagDist,
           {static_cast<std::uint64_t>(out_.owner[static_cast<size_t>(self_)]),

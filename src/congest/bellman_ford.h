@@ -1,13 +1,11 @@
 // Distributed synchronous Bellman-Ford.
 //
 // After t rounds every vertex holds the exact min over ≤t-hop paths from the
-// source set, so running to quiescence yields exact distances, and capping
-// rounds at β (max_hops) yields the β-hop-bounded distances d^(β) of §7.1.
-// A distance bound Δ prunes the exploration ball, which is what "Δ-bounded
-// shortest paths" means in the paper.
+// source set, so running to quiescence yields exact distances. A distance
+// bound Δ prunes the exploration ball, which is what "Δ-bounded shortest
+// paths" means in the paper.
 #pragma once
 
-#include <climits>
 #include <span>
 #include <vector>
 
@@ -20,7 +18,6 @@ namespace lightnet::congest {
 
 struct BellmanFordOptions {
   Weight distance_bound = kInfiniteDistance;  // ignore paths longer than this
-  int max_hops = INT_MAX;                     // ≤ this many edges per path
 };
 
 struct BellmanFordResult {

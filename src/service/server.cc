@@ -55,7 +55,7 @@ std::size_t LightnetServer::SizeOfScenario::operator()(
 
 LightnetServer::LightnetServer(ServiceOptions options)
     : options_(options),
-      artifacts_(options.cache_entries, options.cache_bytes, SizeOfString{}),
+      artifacts_(options.cache_entries, options.cache_bytes),
       scenarios_(options.scenario_entries, options.scenario_bytes,
                  SizeOfScenario{}) {}
 
@@ -84,13 +84,14 @@ std::string LightnetServer::handle_run(const std::string& id_json,
   // Keyed as requested (pre-clamp): a clamped run's record reports
   // "threads_clamped":true, so it must not alias its serial twin's entry.
   const std::string key = api::canonical_run_key(spec);
-  const std::string hash = api::canonical_run_hash(key);
-  const std::string prefix =
-      "{\"id\":" + id_json + ",\"ok\":true,\"key\":\"" + hash +
-      "\",\"record\":";
+  const std::uint64_t key_hash = api::canonical_run_fnv1a(key);
+  const std::string prefix = "{\"id\":" + id_json +
+                             ",\"ok\":true,\"key\":\"" +
+                             api::canonical_run_hash(key_hash) +
+                             "\",\"record\":";
 
   if (options_.cache_enabled) {
-    const std::string* cached = artifacts_.get(key);
+    const std::string* cached = artifacts_.get(key, key_hash);
     if (cached != nullptr) return prefix + *cached + "}";
   }
 
@@ -109,7 +110,8 @@ std::string LightnetServer::handle_run(const std::string& id_json,
       api::run_and_record(scenario->graph, scenario->hop_diameter, spec, ctx);
   ++runs_;
   if (rec.threads_clamped) ++threads_clamped_;
-  if (options_.cache_enabled) artifacts_.insert(key, rec.json);
+  if (options_.cache_enabled)
+    artifacts_.offer(key, key_hash, rec.json, rec.messages);
   return prefix + rec.json + "}";
 }
 
@@ -134,14 +136,17 @@ std::string LightnetServer::stats_json() const {
   out += ",\"threads_clamped\":" + std::to_string(threads_clamped_);
   out += ",\"cache_enabled\":" +
          std::string(options_.cache_enabled ? "true" : "false");
+  const ArtifactCache::Lru& artifact_lru = artifacts_.lru();
   out += ",\"artifact\":{";
-  out += "\"hits\":" + std::to_string(artifacts_.hits());
-  out += ",\"misses\":" + std::to_string(artifacts_.misses());
-  out += ",\"evictions\":" + std::to_string(artifacts_.evictions());
-  out += ",\"entries\":" + std::to_string(artifacts_.entries());
-  out += ",\"resident_bytes\":" + std::to_string(artifacts_.resident_bytes());
-  out += ",\"max_entries\":" + std::to_string(artifacts_.max_entries());
-  out += ",\"max_bytes\":" + std::to_string(artifacts_.max_bytes());
+  out += "\"hits\":" + std::to_string(artifact_lru.hits());
+  out += ",\"misses\":" + std::to_string(artifact_lru.misses());
+  out += ",\"evictions\":" + std::to_string(artifact_lru.evictions());
+  out += ",\"rejected\":" + std::to_string(artifacts_.rejected());
+  out += ",\"entries\":" + std::to_string(artifact_lru.entries());
+  out += ",\"resident_bytes\":" +
+         std::to_string(artifact_lru.resident_bytes());
+  out += ",\"max_entries\":" + std::to_string(artifact_lru.max_entries());
+  out += ",\"max_bytes\":" + std::to_string(artifact_lru.max_bytes());
   out += "}";
   out += ",\"scenario\":{";
   out += "\"hits\":" + std::to_string(scenarios_.hits());

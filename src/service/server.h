@@ -18,14 +18,17 @@
 // is the api/record.h line the CLI would print for the same spec —
 // byte-identical, cached or not.
 //
-// Caching: two bounded LRU layers.
-//   - Artifact cache: canonical run key -> finished record line. A hit
-//     skips the run entirely; the response is byte-identical to the cold
-//     response because the record itself is what's cached (hit/miss is
+// Caching: two bounded layers (service/cache.h says why they differ).
+//   - Artifact cache: canonical run key -> finished record line, LRU among
+//     the records a cost-weighted admission filter lets in. A hit skips
+//     the run entirely; the response is byte-identical to the cold
+//     response because the record itself is what's cached, and a record
+//     the filter refuses is still returned (hit, miss and refusal are
 //     visible only through `stats`, never in the response bytes).
 //   - Scenario cache: canonical scenario key -> materialized graph +
-//     hop diameter + SubstratePool, so same-scenario requests for
-//     different constructions share the graph and its rounded substrates.
+//     hop diameter + SubstratePool, plain LRU, so same-scenario requests
+//     for different constructions share the graph and its rounded
+//     substrates.
 // One SchedulerScratch spans all runs: scheduler arenas are adopted and
 // returned per kernel execution instead of reallocated per request.
 //
@@ -97,15 +100,13 @@ class LightnetServer {
   bool shutdown_requested() const { return shutdown_; }
 
   // The `stats` response payload (one JSON object, no id wrapper): request
-  // and cache counters, substrate-pool aggregates over resident scenarios,
-  // scheduler arena adoptions. Public so the replay harness can embed the
-  // exact server-side counters in BENCH_service.json.
+  // and cache counters (the artifact block's "rejected" counts records
+  // computed but refused by admission), substrate-pool aggregates over
+  // resident scenarios, scheduler arena adoptions. Public so the replay
+  // harness can embed the exact server-side counters in BENCH_service.json.
   std::string stats_json() const;
 
  private:
-  struct SizeOfString {
-    std::size_t operator()(const std::string& s) const { return s.size(); }
-  };
   struct SizeOfScenario {
     std::size_t operator()(const std::shared_ptr<ScenarioEntry>& e) const;
   };
@@ -114,7 +115,7 @@ class LightnetServer {
   std::shared_ptr<ScenarioEntry> scenario_entry(const api::RunSpec& spec);
 
   ServiceOptions options_;
-  LruCache<std::string, SizeOfString> artifacts_;
+  ArtifactCache artifacts_;
   LruCache<std::shared_ptr<ScenarioEntry>, SizeOfScenario> scenarios_;
   congest::SchedulerScratch scratch_;
   bool shutdown_ = false;

@@ -64,23 +64,6 @@ TEST(BellmanFord, DistanceBoundPrunes) {
   EXPECT_EQ(bf.dist[5], kInfiniteDistance);
 }
 
-TEST(BellmanFord, HopBoundComputesDHop) {
-  // Two routes to vertex 2: direct heavy edge (1 hop, weight 10) or via 1
-  // (2 hops, weight 2). With max_hops=1 the heavy edge wins.
-  const WeightedGraph g = WeightedGraph::from_edges(
-      3, {{0, 2, 10.0}, {0, 1, 1.0}, {1, 2, 1.0}});
-  const VertexId sources[] = {0};
-  BellmanFordOptions one_hop;
-  one_hop.max_hops = 1;
-  const BellmanFordResult bf1 = distributed_bellman_ford(g, sources, one_hop);
-  EXPECT_DOUBLE_EQ(bf1.dist[2], 10.0);
-  BellmanFordOptions two_hops;
-  two_hops.max_hops = 2;
-  const BellmanFordResult bf2 =
-      distributed_bellman_ford(g, sources, two_hops);
-  EXPECT_DOUBLE_EQ(bf2.dist[2], 2.0);
-}
-
 TEST(BellmanFord, OwnerIdentifiesNearestSource) {
   const WeightedGraph g = path_graph(9, WeightLaw::kUnit, 1.0, 1);
   const std::vector<VertexId> sources{0, 8};

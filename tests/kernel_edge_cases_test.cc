@@ -71,17 +71,6 @@ TEST(KernelEdgeCases, AggregateWithEqualValuesIsDeterministic) {
   EXPECT_DOUBLE_EQ(Message::decode_weight(a.best[0].a), 1.5);
 }
 
-TEST(KernelEdgeCases, BellmanFordZeroHopBudgetLeavesOnlySources) {
-  const WeightedGraph g = path_graph(5, WeightLaw::kUnit, 1.0, 1);
-  const VertexId sources[] = {2};
-  BellmanFordOptions options;
-  options.max_hops = 0;
-  const BellmanFordResult bf = distributed_bellman_ford(g, sources, options);
-  EXPECT_DOUBLE_EQ(bf.dist[2], 0.0);
-  EXPECT_EQ(bf.dist[1], kInfiniteDistance);
-  EXPECT_EQ(bf.dist[3], kInfiniteDistance);
-}
-
 TEST(KernelEdgeCases, BellmanFordTightDistanceBoundKeepsBoundary) {
   const WeightedGraph g = path_graph(5, WeightLaw::kUnit, 1.0, 1);
   const VertexId sources[] = {0};

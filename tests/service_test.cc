@@ -2,13 +2,15 @@
 // handle_line (the exact core both serve() and serve_tcp() drive):
 //   - JSON reader: raw-slice id round-trip, error messages instead of throws;
 //   - LruCache: LRU order, byte budget, overwrite accounting;
+//   - the artifact layer's admission: the frequency sketch's bounds, aging
+//     and fixed footprint, and the cost-weighted admission cases;
 //   - cache hits are byte-identical to the cold response (the tentpole
 //     property), including aborted (max_rounds) and degraded (fault) runs
 //     whose outcome/diagnostics must survive the cache round trip;
 //   - service records are byte-identical to what lightnet_cli prints for
 //     the same resolved spec (wall=0);
-//   - scenario + substrate sharing across constructions, LRU eviction,
-//     scheduler arena adoptions;
+//   - scenario + substrate sharing across constructions, eviction and
+//     admission refusals (responses unchanged), scheduler arena adoptions;
 //   - the reliable-transport serial clamp is applied and reported at the
 //     service boundary, and clamped/serial twins get distinct cache keys;
 //   - protocol errors: malformed JSON, bad ops, container ids, sweep specs.
@@ -21,6 +23,7 @@
 #include <vector>
 
 #include "api/cli.h"
+#include "api/record.h"
 #include "service/cache.h"
 #include "service/json.h"
 
@@ -96,6 +99,122 @@ TEST(ServiceLruCache, OverwriteReplacesAndReaccounts) {
   EXPECT_EQ(*cache.get("a"), "yyy");
 }
 
+// ------------------------------------------------------ admission filter
+
+TEST(ServiceFrequencySketch, NeverUndercountsWithinOneAgingPeriod) {
+  FrequencySketch sketch(16);  // 128 columns a row, halving every 512
+  std::vector<std::uint64_t> keys;
+  std::vector<std::uint32_t> truth;
+  std::size_t recorded = 0;
+  for (int k = 0; k < 96; ++k) {
+    keys.push_back(api::canonical_run_fnv1a("key-" + std::to_string(k)));
+    truth.push_back(static_cast<std::uint32_t>(1 + (k * 7) % 9));
+    for (std::uint32_t r = 0; r < truth.back(); ++r) sketch.record(keys.back());
+    recorded += truth.back();
+  }
+  ASSERT_LT(recorded, sketch.sample_size());
+  for (std::size_t k = 0; k < keys.size(); ++k)
+    EXPECT_GE(sketch.estimate(keys[k]), truth[k]) << "key " << k;
+}
+
+TEST(ServiceFrequencySketch, HalvesEveryCounterOncePerSamplePeriod) {
+  FrequencySketch sketch(16);
+  ASSERT_EQ(sketch.sample_size(), 512u);
+  const std::uint64_t hot = api::canonical_run_fnv1a("hot");
+  const std::uint64_t other = api::canonical_run_fnv1a("other");
+  for (int i = 0; i < 100; ++i) sketch.record(hot);
+  for (std::size_t i = 101; i < sketch.sample_size(); ++i)
+    sketch.record(other);
+  const std::uint32_t before = sketch.estimate(hot);
+  EXPECT_GE(before, 100u);
+  sketch.record(hot);  // the period's last lookup: every counter halves
+  EXPECT_EQ(sketch.estimate(hot), (before + 1) / 2);
+  sketch.record(hot);  // a new period counts from the halved value
+  EXPECT_EQ(sketch.estimate(hot), (before + 1) / 2 + 1);
+}
+
+TEST(ServiceFrequencySketch, FootprintIsFixedByTheEntryBudget) {
+  // Each of the 4 rows is the power of two >= 8 x entries wide; counters
+  // are 16-bit; the aging period is 32 x entries lookups.
+  struct Case {
+    std::size_t entries, width;
+  };
+  for (const Case c : {Case{1, 8}, Case{3, 32}, Case{100, 1024},
+                       Case{256, 2048}}) {
+    FrequencySketch sketch(c.entries);
+    EXPECT_EQ(sketch.sample_size(), 32 * c.entries) << c.entries;
+    EXPECT_EQ(sketch.footprint_bytes(),
+              FrequencySketch::kRows * c.width * sizeof(std::uint16_t))
+        << c.entries;
+    for (std::uint64_t k = 0; k < 4 * sketch.sample_size(); ++k)
+      sketch.record(k * 0x9e3779b97f4a7c15ULL);
+    EXPECT_EQ(sketch.footprint_bytes(),
+              FrequencySketch::kRows * c.width * sizeof(std::uint16_t));
+  }
+  // An outsized --cache-entries sizes the sketch as 2^17 entries would.
+  const FrequencySketch outsized(std::size_t{1} << 40);
+  EXPECT_EQ(outsized.footprint_bytes(),
+            FrequencySketch::kRows * (std::size_t{1} << 20) *
+                sizeof(std::uint16_t));
+  EXPECT_EQ(outsized.sample_size(), 32 * (std::size_t{1} << 17));
+}
+
+// Looks `key` up and, on a miss, offers a record computed with `messages`
+// simulated messages; returns whether the lookup hit.
+bool request(ArtifactCache& cache, const std::string& key,
+             std::uint64_t key_hash, std::uint64_t messages) {
+  if (cache.get(key, key_hash) != nullptr) return true;
+  cache.offer(key, key_hash, "{\"record\":\"" + key + "\"}", messages);
+  return false;
+}
+
+TEST(ServiceAdmission, FrequentCheapRecordKeepsItsPlaceAgainstAOneOff) {
+  ArtifactCache cache(1, 1u << 20);
+  for (int i = 0; i < 3; ++i) request(cache, "hot", 1, 9);
+  ASSERT_EQ(cache.lru().hits(), 2u);
+  // Equal cost, estimate 1 against 3: the one-off is returned but not kept.
+  EXPECT_EQ(cache.get("once", 2), nullptr);
+  EXPECT_FALSE(cache.offer("once", 2, "{}", 9));
+  EXPECT_EQ(cache.rejected(), 1u);
+  EXPECT_EQ(cache.lru().evictions(), 0u);
+  EXPECT_NE(cache.get("hot", 1), nullptr);
+}
+
+TEST(ServiceAdmission, FrequentExpensiveRecordDisplacesTheLruVictim) {
+  ArtifactCache cache(1, 1u << 20);
+  for (int i = 0; i < 4; ++i) request(cache, "cheap", 1, 4);  // 4 x 5 = 20
+  // Cost 10: estimate 1 (10) and 2 (20, a tie keeps the resident) lose;
+  // the third request (30) wins and evicts the LRU victim.
+  EXPECT_FALSE(request(cache, "pricey", 2, 9));
+  EXPECT_FALSE(request(cache, "pricey", 2, 9));
+  EXPECT_EQ(cache.rejected(), 2u);
+  EXPECT_EQ(cache.lru().evictions(), 0u);
+  EXPECT_FALSE(request(cache, "pricey", 2, 9));
+  EXPECT_EQ(cache.rejected(), 2u);
+  EXPECT_EQ(cache.lru().evictions(), 1u);
+  EXPECT_NE(cache.get("pricey", 2), nullptr);
+  EXPECT_EQ(cache.get("cheap", 1), nullptr);
+}
+
+TEST(ServiceAdmission, AfterAgingANewlyHotKeyGetsIn) {
+  ArtifactCache cache(1, 1u << 20);  // halving every 32 lookups
+  ASSERT_EQ(cache.sketch().sample_size(), 32u);
+  for (int i = 0; i < 20; ++i) request(cache, "old", 1, 0);
+  // Twelve requests take "new" to estimate 12 against 20; the twelfth
+  // ends the period, halving both to 6 and 10.
+  for (int i = 0; i < 12; ++i) EXPECT_FALSE(request(cache, "new", 2, 0));
+  EXPECT_EQ(cache.rejected(), 12u);
+  EXPECT_EQ(cache.sketch().estimate(1), 10u);
+  EXPECT_EQ(cache.sketch().estimate(2), 6u);
+  // Without the halving "new" would need 21 requests; with it, the
+  // seventeenth (estimate 11 against 10) gets in.
+  for (int i = 0; i < 4; ++i) EXPECT_FALSE(request(cache, "new", 2, 0));
+  EXPECT_EQ(cache.lru().evictions(), 0u);
+  EXPECT_FALSE(request(cache, "new", 2, 0));
+  EXPECT_EQ(cache.lru().evictions(), 1u);
+  EXPECT_TRUE(request(cache, "new", 2, 0));
+}
+
 // ---------------------------------------------------------------- server
 
 // Pulls the integer after `"name":` inside the `"section":{...}` object of
@@ -145,6 +264,32 @@ TEST(ServiceServer, CachedResponseMatchesCacheDisabledServer) {
   warm_server.handle_line(run_line(spec));
   const std::string warm = warm_server.handle_line(run_line(spec));
   EXPECT_EQ(cold, warm);
+
+  // A skewed replay through caches smaller than its universe: admission
+  // refuses records, and every response still equals the cold one. Two
+  // replays of one trace end in identical stats.
+  const std::vector<std::string> universe = {
+      "construction=slt topology=er n=40 seed=2",
+      "construction=bfs_tree topology=er n=40 seed=2",
+      "construction=net topology=grid n=36 seed=1",
+      "construction=baswana_sen topology=ring n=32 seed=3",
+      "construction=bfs_tree topology=ring n=32 seed=3",
+      "construction=light_spanner topology=er n=40 seed=1"};
+  ServiceOptions small_opts;
+  small_opts.cache_entries = 2;
+  LightnetServer small_a(small_opts);
+  LightnetServer small_b(small_opts);
+  int id = 0;
+  for (int round = 0; round < 12; ++round)
+    for (std::size_t k = 0; k < universe.size(); ++k) {
+      if (round % (k + 1) != 0) continue;  // spec k: every (k+1)-th round
+      const std::string line = run_line(universe[k], ++id);
+      const std::string expected = cold_server.handle_line(line);
+      EXPECT_EQ(small_a.handle_line(line), expected) << line;
+      EXPECT_EQ(small_b.handle_line(line), expected) << line;
+    }
+  EXPECT_GT(stat(small_a.stats_json(), "artifact", "rejected"), 0u);
+  EXPECT_EQ(small_a.stats_json(), small_b.stats_json());
 }
 
 TEST(ServiceServer, RecordIsByteIdenticalToCliOutput) {
@@ -291,7 +436,11 @@ TEST(ServiceServer, EvictedEntryRecomputesByteIdentically) {
   const std::string spec_a = "construction=slt topology=path n=20 seed=1";
   const std::string spec_b = "construction=slt topology=path n=20 seed=2";
   const std::string first = server.handle_line(run_line(spec_a));
-  server.handle_line(run_line(spec_b));  // evicts spec_a's record
+  // spec_b's record displaces spec_a's once its estimate x cost beats
+  // spec_a's; each repeat raises its estimate, so repeat until it does.
+  for (int i = 0;
+       i < 64 && stat(server.stats_json(), "artifact", "evictions") == 0; ++i)
+    server.handle_line(run_line(spec_b));
   const std::string again = server.handle_line(run_line(spec_a));
   EXPECT_EQ(first, again);
   const std::string stats = server.stats_json();
