@@ -100,16 +100,6 @@ bool parse_int_strict(const std::string& v, int* out) {
   return true;
 }
 
-bool parse_u64_strict(const std::string& v, std::uint64_t* out) {
-  if (v.empty() || v[0] == '-') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v.c_str(), &end, 10);
-  if (errno != 0 || end != v.c_str() + v.size()) return false;
-  *out = parsed;
-  return true;
-}
-
 // Non-finite values are rejected too: strtod accepts "nan" and "inf", and
 // records print both as null, so two distinct specs would share one record
 // and one cache key.
@@ -448,6 +438,16 @@ bool parse_spec(const std::vector<std::string>& args, ParsedSpec& spec,
 }
 
 }  // namespace
+
+bool parse_u64_strict(const std::string& v, std::uint64_t* out) {
+  if (v.empty() || v[0] == '-') return false;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long parsed = std::strtoull(v.c_str(), &end, 10);
+  if (errno != 0 || end != v.c_str() + v.size()) return false;
+  *out = parsed;
+  return true;
+}
 
 std::string parse_single_run_spec(const std::vector<std::string>& args,
                                   RunSpec* out) {

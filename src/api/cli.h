@@ -40,6 +40,7 @@
 // in-process; tools/lightnet_cli.cc is the thin main().
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -51,6 +52,11 @@ namespace lightnet::api {
 // Returns 0 on success, 1 on a spec error (message on `err`).
 int run_cli(const std::vector<std::string>& args, std::FILE* out,
             std::FILE* err);
+
+// Strict unsigned decimal: false on an empty token, a minus sign, a value
+// past 2^64 - 1 or unconsumed characters ("12x"); *out is set only on
+// success. The CLI's seed axes and lightnetd's size flags parse with it.
+bool parse_u64_strict(const std::string& v, std::uint64_t* out);
 
 // Parses a spec that must resolve to exactly ONE run — no comma lists, no
 // "all", construction named explicitly — into `out`. Used by the lightnetd

@@ -1,6 +1,6 @@
 #include "congest/bellman_ford.h"
 
-#include <memory>
+#include <utility>
 
 #include "congest/scheduler.h"
 #include "support/assert.h"
@@ -13,18 +13,17 @@ constexpr std::uint32_t kTagDist = 20;
 
 class BellmanFordProgram final : public NodeProgram {
  public:
-  BellmanFordProgram(VertexId self, bool is_source,
-                     const BellmanFordOptions& options,
-                     BellmanFordResult& out)
-      : self_(self), options_(options), out_(out) {
-    if (is_source) {
-      out_.dist[static_cast<size_t>(self_)] = 0.0;
-      out_.owner[static_cast<size_t>(self_)] = self_;
-      dirty_ = true;
-    }
-  }
+  BellmanFordProgram(std::vector<std::uint8_t> unsent_source,
+                     const BellmanFordOptions& options, BellmanFordResult& out)
+      : unsent_source_(std::move(unsent_source)), options_(options),
+        out_(out) {}
 
   void on_round(NodeContext& ctx, std::span<const Delivery> inbox) override {
+    const size_t v = static_cast<size_t>(ctx.self());
+    // A source announces its zero distance on its first invocation: round 0,
+    // or its restart round if a crash kept it down from round 0.
+    bool dirty = unsent_source_[v] != 0;
+    unsent_source_[v] = 0;
     for (const Delivery& d : inbox) {
       LN_ASSERT(d.msg.tag == kTagDist);
       const VertexId owner = static_cast<VertexId>(d.msg.word(0));
@@ -32,32 +31,27 @@ class BellmanFordProgram final : public NodeProgram {
       const Weight cand =
           sender_dist + ctx.network().graph().edge(d.edge).w;
       if (cand > options_.distance_bound) continue;
-      if (cand < out_.dist[static_cast<size_t>(self_)]) {
-        out_.dist[static_cast<size_t>(self_)] = cand;
-        out_.parent[static_cast<size_t>(self_)] = d.from;
-        out_.parent_edge[static_cast<size_t>(self_)] = d.edge;
-        out_.owner[static_cast<size_t>(self_)] = owner;
-        dirty_ = true;
+      if (cand < out_.dist[v]) {
+        out_.dist[v] = cand;
+        out_.parent[v] = d.from;
+        out_.parent_edge[v] = d.edge;
+        out_.owner[v] = owner;
+        dirty = true;
       }
     }
-    if (dirty_) {
-      const Message msg(
-          kTagDist,
-          {static_cast<std::uint64_t>(out_.owner[static_cast<size_t>(self_)]),
-           Message::encode_weight(out_.dist[static_cast<size_t>(self_)])});
-      const int degree = static_cast<int>(ctx.links().size());
-      for (int i = 0; i < degree; ++i) ctx.send_on_link(i, msg);
-    }
-    dirty_ = false;
+    if (!dirty) return;
+    const Message msg(kTagDist, {static_cast<std::uint64_t>(out_.owner[v]),
+                                 Message::encode_weight(out_.dist[v])});
+    const int degree = static_cast<int>(ctx.links().size());
+    for (int i = 0; i < degree; ++i) ctx.send_on_link(i, msg);
   }
 
-  bool quiescent() const override { return !dirty_; }
+  bool quiescent(VertexId) const override { return true; }
 
  private:
-  VertexId self_;
+  std::vector<std::uint8_t> unsent_source_;
   const BellmanFordOptions& options_;
   BellmanFordResult& out_;
-  bool dirty_ = false;
 };
 
 }  // namespace
@@ -82,19 +76,16 @@ BellmanFordResult distributed_bellman_ford(const Network& net,
   result.parent_edge.assign(n, kNoEdge);
   result.owner.assign(n, kNoVertex);
 
-  std::vector<char> is_source(n, 0);
+  std::vector<std::uint8_t> is_source(n, 0);
   for (VertexId s : sources) {
     LN_REQUIRE(s >= 0 && s < g.num_vertices(), "source out of range");
     is_source[static_cast<size_t>(s)] = 1;
+    result.dist[static_cast<size_t>(s)] = 0.0;
+    result.owner[static_cast<size_t>(s)] = s;
   }
 
-  std::vector<std::unique_ptr<NodeProgram>> programs;
-  programs.reserve(n);
-  for (VertexId v = 0; v < g.num_vertices(); ++v)
-    programs.push_back(std::make_unique<BellmanFordProgram>(
-        v, is_source[static_cast<size_t>(v)] != 0, options, result));
-  Scheduler scheduler(net, std::move(programs), sched_options);
-  result.cost = scheduler.run();
+  BellmanFordProgram program(std::move(is_source), options, result);
+  result.cost = Scheduler(net, program, sched_options).run();
   return result;
 }
 

@@ -1,7 +1,5 @@
 #include "congest/bfs.h"
 
-#include <memory>
-
 #include "congest/scheduler.h"
 #include "support/assert.h"
 
@@ -11,50 +9,35 @@ namespace {
 
 constexpr std::uint32_t kTagBfs = 1;
 
+// Flood from the root: a vertex joins on its first announcement (depth >= 0
+// marks a joined vertex) and announces its depth once, in the same call.
 class BfsProgram final : public NodeProgram {
  public:
-  BfsProgram(VertexId self, VertexId root, std::vector<VertexId>& parent,
-             std::vector<int>& depth)
-      : self_(self), root_(root), parent_(parent), depth_(depth) {}
+  explicit BfsProgram(BfsTreeResult& out) : out_(out) {}
 
   void on_round(NodeContext& ctx, std::span<const Delivery> inbox) override {
-    if (ctx.round() == 0 && self_ == root_) {
-      depth_[static_cast<size_t>(self_)] = 0;
-      joined_ = true;
-      announce_ = true;
+    const size_t v = static_cast<size_t>(ctx.self());
+    bool announce = ctx.round() == 0 && ctx.self() == out_.root;
+    if (announce) out_.depth[v] = 0;
+    // First announcement wins; ties broken by sender id via inbox order
+    // being deterministic (links are scanned in CSR order).
+    if (!inbox.empty() && out_.depth[v] < 0) {
+      out_.parent[v] = inbox[0].from;
+      out_.depth[v] = static_cast<int>(inbox[0].msg.word(0)) + 1;
+      announce = true;
     }
-    for (const Delivery& d : inbox) {
-      if (joined_) break;
-      // First announcement wins; ties broken by sender id via inbox order
-      // being deterministic (links are scanned in CSR order).
-      joined_ = true;
-      parent_[static_cast<size_t>(self_)] = d.from;
-      depth_[static_cast<size_t>(self_)] =
-          static_cast<int>(d.msg.word(0)) + 1;
-      announce_ = true;
-    }
-    if (announce_) {
-      const Message msg(kTagBfs,
-                        {static_cast<std::uint64_t>(
-                            depth_[static_cast<size_t>(self_)])});
-      const auto links = ctx.links();
-      for (int i = 0; i < static_cast<int>(links.size()); ++i)
-        if (links[static_cast<size_t>(i)].neighbor !=
-            parent_[static_cast<size_t>(self_)])
-          ctx.send_on_link(i, msg);
-      announce_ = false;
-    }
+    if (!announce) return;
+    const Message msg(kTagBfs, {static_cast<std::uint64_t>(out_.depth[v])});
+    const auto links = ctx.links();
+    for (int i = 0; i < static_cast<int>(links.size()); ++i)
+      if (links[static_cast<size_t>(i)].neighbor != out_.parent[v])
+        ctx.send_on_link(i, msg);
   }
 
-  bool quiescent() const override { return !announce_; }
+  bool quiescent(VertexId) const override { return true; }
 
  private:
-  VertexId self_;
-  VertexId root_;
-  std::vector<VertexId>& parent_;
-  std::vector<int>& depth_;
-  bool joined_ = false;
-  bool announce_ = false;
+  BfsTreeResult& out_;
 };
 
 // Fixpoint BFS over the reliable transport. Where BfsProgram trusts "first
@@ -67,41 +50,31 @@ class BfsProgram final : public NodeProgram {
 // precisely the tree the plain program builds fault-free.
 class ReliableBfsProgram final : public NodeProgram {
  public:
-  ReliableBfsProgram(VertexId self, VertexId root,
-                     std::vector<VertexId>& parent, std::vector<int>& depth)
-      : self_(self), root_(root), parent_(parent), depth_(depth) {}
+  explicit ReliableBfsProgram(BfsTreeResult& out) : out_(out) {}
 
   void on_round(NodeContext& ctx, std::span<const Delivery> inbox) override {
-    if (ctx.round() == 0 && self_ == root_) {
-      depth_[static_cast<size_t>(self_)] = 0;
-      announce_ = true;
-    }
-    int& depth = depth_[static_cast<size_t>(self_)];
-    VertexId& parent = parent_[static_cast<size_t>(self_)];
+    int& depth = out_.depth[static_cast<size_t>(ctx.self())];
+    VertexId& parent = out_.parent[static_cast<size_t>(ctx.self())];
+    bool announce = ctx.round() == 0 && ctx.self() == out_.root;
+    if (announce) depth = 0;
     for (const Delivery& d : inbox) {
       const int cand = static_cast<int>(d.msg.word(0)) + 1;
       if (depth < 0 || cand < depth || (cand == depth && d.from < parent)) {
         depth = cand;
         parent = d.from;
-        announce_ = true;
+        announce = true;
       }
     }
-    if (announce_) {
-      const Message msg(kTagBfs, {static_cast<std::uint64_t>(depth)});
-      for (int i = 0; i < static_cast<int>(ctx.links().size()); ++i)
-        ctx.reliable_send_on_link(i, msg);
-      announce_ = false;
-    }
+    if (!announce) return;
+    const Message msg(kTagBfs, {static_cast<std::uint64_t>(depth)});
+    for (int i = 0; i < static_cast<int>(ctx.links().size()); ++i)
+      ctx.reliable_send_on_link(i, msg);
   }
 
-  bool quiescent() const override { return !announce_; }
+  bool quiescent(VertexId) const override { return true; }
 
  private:
-  VertexId self_;
-  VertexId root_;
-  std::vector<VertexId>& parent_;
-  std::vector<int>& depth_;
-  bool announce_ = false;
+  BfsTreeResult& out_;
 };
 
 template <typename Program>
@@ -114,13 +87,8 @@ BfsTreeResult run_bfs(const WeightedGraph& g, VertexId root,
   result.depth.assign(static_cast<size_t>(g.num_vertices()), -1);
 
   Network net(g);
-  std::vector<std::unique_ptr<NodeProgram>> programs;
-  programs.reserve(static_cast<size_t>(g.num_vertices()));
-  for (VertexId v = 0; v < g.num_vertices(); ++v)
-    programs.push_back(
-        std::make_unique<Program>(v, root, result.parent, result.depth));
-  Scheduler scheduler(net, std::move(programs), sched_options);
-  result.cost = scheduler.run();
+  Program program(result);
+  result.cost = Scheduler(net, program, sched_options).run();
 
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     if (result.depth[static_cast<size_t>(v)] < 0) continue;

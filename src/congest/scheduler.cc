@@ -48,18 +48,15 @@ std::span<const std::uint64_t> NodeContext::payload(const Message& msg) const {
   return scheduler_->payload(msg);
 }
 
-Scheduler::Scheduler(const Network& network,
-                     std::vector<std::unique_ptr<NodeProgram>> programs,
+Scheduler::Scheduler(const Network& network, NodeProgram& program,
                      SchedulerOptions options)
     : network_(&network),
       num_nodes_(network.num_nodes()),
-      programs_(std::move(programs)),
+      program_(&program),
       options_(options) {
-  LN_REQUIRE(static_cast<int>(programs_.size()) == network.num_nodes(),
-             "one program per node required");
   LN_REQUIRE(options_.channels >= 1 && options_.channels <= 256,
              "channels must fit the message's 8-bit channel tag");
-  const size_t n = programs_.size();
+  const size_t n = static_cast<size_t>(num_nodes_);
   const size_t channels = static_cast<size_t>(options_.channels);
 
   // One lane and one recipient shard per thread; threads = 1 has no pool.
@@ -93,9 +90,6 @@ Scheduler::Scheduler(const Network& network,
   frontier_.reset(static_cast<int>(n));
   const size_t slots = static_cast<size_t>(network.graph().num_edges()) * 2;
   edge_load_.assign(slots, 0);
-  for (VertexId v = 0; v < static_cast<VertexId>(n); ++v)
-    if (programs_[static_cast<size_t>(v)]->wants_idle_rounds())
-      idle_riders_.push_back(v);
 
   if (channels > 1) {
     channel_totals_.assign(channels, {});
@@ -411,11 +405,6 @@ void Scheduler::run_round(int round) {
                      !fault_ && !transport_ && !options_.full_sweep;
   if (dense) ++stats_.rounds_receiver_scan;
 
-  // Idle riders are marked before the delivery job, whose frontier scan
-  // consumes them.
-  if (!options_.full_sweep)
-    for (VertexId v : idle_riders_) mark_frontier(v);
-
   // --- job 1: per-shard inbox assembly, window fold, frontier scan ---
   if (pool_)
     stats_.barrier_wait_ns +=
@@ -666,6 +655,7 @@ void Scheduler::invoke_chunk(int lane_index, int round) {
   ctx.scheduler_ = this;
   ctx.round_ = round;
   ctx.lane_ = lane_index;
+  NodeProgram& program = *program_;
   Lane& lane = lanes_[static_cast<size_t>(lane_index)];
   const bool wake = !options_.full_sweep;
   // Any lane may wake any vertex, so with a pool the marks are atomic.
@@ -681,9 +671,8 @@ void Scheduler::invoke_chunk(int lane_index, int round) {
     const std::uint32_t len = inbox_len_[vi];
     const Delivery* inbox =
         len != 0 ? arena_.data() + inbox_start_[vi] : nullptr;
-    NodeProgram* program = programs_[vi].get();
-    program->on_round(ctx, std::span<const Delivery>(inbox, len));
-    if (!program->quiescent()) {
+    program.on_round(ctx, std::span<const Delivery>(inbox, len));
+    if (!program.quiescent(v)) {
       lane.wake_any = 1;
       if (!wake) continue;
       if (shared)

@@ -1,12 +1,23 @@
 // Synchronous round scheduler for the CONGEST model.
 //
-// An algorithm is a NodeProgram instantiated at every vertex. Each round the
-// scheduler delivers the previous round's messages and invokes programs;
-// outgoing messages appear in neighbors' inboxes next round. Execution ends
-// when every program reports quiescence and no messages are in flight (the
-// simulator plays the role of a termination detector; a real deployment
-// would add an O(D) termination-detection phase, which is dominated by every
-// phase cost in this library).
+// An algorithm is one local rule that every vertex runs: a NodeProgram.
+// Each round the scheduler delivers the previous round's messages and
+// invokes the program at the due vertices; outgoing messages appear in
+// neighbors' inboxes next round. Execution ends when every vertex is
+// quiescent and no messages are in flight (the simulator plays the role of
+// a termination detector; a real deployment would add an O(D)
+// termination-detection phase, which is dominated by every phase cost in
+// this library). Three rules bind a program:
+//  - One object per run. The program holds its read-only inputs once and
+//    its per-vertex state in vertex-indexed arrays; on_round learns its
+//    vertex from NodeContext::self().
+//  - quiescent(v) reads only v's state, and that state changes only inside
+//    v's own on_round (a skipped vertex's answer is assumed stable).
+//  - Lanes call on_round for different vertices at once (threads > 1), so
+//    a call writes only its own vertex's slots of the program's arrays and
+//    of shared result arrays: no shared mutable scalars, and never a
+//    std::vector<bool>, whose neighbouring vertices share a word. Scratch
+//    that lives for one call is kept once per lane (NodeContext::lane()).
 //
 // Hot paths (the structures that make large-n simulation cheap):
 //  - O(1) send resolution: NodeContext::send_on_link addresses a neighbor by
@@ -71,22 +82,15 @@ class WorkerPool;
 class NodeProgram {
  public:
   virtual ~NodeProgram() = default;
-  // Called with the messages delivered this round. Under active-set
-  // scheduling a node is only invoked when it has mail, was non-quiescent
-  // after its previous invocation, or wants_idle_rounds() — so quiescent()
-  // must only change state inside on_round (a skipped node's answer is
-  // assumed stable). Under threads > 1 different nodes' on_round calls run
-  // concurrently; programs may freely write their own per-node state and
-  // their own slots of shared result arrays (the idiom every program here
-  // uses), but must not mutate state shared across nodes.
+  // Runs vertex ctx.self() for one round on the messages delivered to it.
+  // Under active-set scheduling a vertex is invoked only when it has mail,
+  // was non-quiescent after its previous invocation, restarted from a
+  // crash, or it is round 0 (every round under full_sweep).
   virtual void on_round(NodeContext& ctx, std::span<const Delivery> inbox) = 0;
-  // True when the node has no more work to initiate. The run ends when all
-  // nodes are quiescent AND no messages are in flight.
-  virtual bool quiescent() const = 0;
-  // Opt-in escape hatch for clock-driven programs that must observe every
-  // round even without mail (e.g. timeout counters). Sampled once at
-  // scheduler construction; must be constant for the program's lifetime.
-  virtual bool wants_idle_rounds() const { return false; }
+  // True when vertex v has no more work to initiate. Asked right after v's
+  // on_round, by the lane that ran it. The run ends when every vertex is
+  // quiescent AND no messages are in flight.
+  virtual bool quiescent(VertexId v) const = 0;
 };
 
 class Scheduler;
@@ -96,6 +100,10 @@ class NodeContext {
  public:
   VertexId self() const { return self_; }
   int round() const { return round_; }
+  // Staging lane of the invoking worker, in [0, Scheduler::kMaxLanes). No
+  // two concurrent on_round calls share a lane, so a program keeps its
+  // call-local scratch once per lane, indexed by this.
+  int lane() const { return lane_; }
   const Network& network() const { return *network_; }
   std::span<const Incidence> links() const { return links_; }
 
@@ -138,13 +146,6 @@ class NodeContext {
   // messages, the arena-resident span for batched ones. Valid only during
   // the round the message was delivered in.
   std::span<const std::uint64_t> payload(const Message& msg) const;
-
-  // Local link index for `neighbor`, -1 if not adjacent. O(log deg);
-  // programs sending repeatedly to a fixed neighbor (tree parent/children)
-  // should resolve once and cache.
-  int link_to(VertexId neighbor) const {
-    return network_->link_index(self_, neighbor);
-  }
 
  private:
   friend class Scheduler;
@@ -246,15 +247,13 @@ struct SchedulerOptions {
 
 class Scheduler {
  public:
-  Scheduler(const Network& network,
-            std::vector<std::unique_ptr<NodeProgram>> programs,
+  // `program` runs at every vertex of `network`; it must outlive run().
+  Scheduler(const Network& network, NodeProgram& program,
             SchedulerOptions options = {});
   ~Scheduler();  // out of line: ReliableTransport/WorkerPool incomplete here
 
   // Runs rounds until global quiescence; returns the cost.
   CostStats run();
-
-  NodeProgram& program(VertexId v) { return *programs_[static_cast<size_t>(v)]; }
 
   // Payloads wider than one arena record (ext_size is 16-bit) are split
   // into chunks of this many words, each shipped as its own message and
@@ -340,7 +339,7 @@ class Scheduler {
   // in the top bits, lane-local offset below).
   std::span<const std::uint64_t> payload(const Message& msg) const;
   // Marks a vertex for invocation from a point of the round where no job
-  // runs (idle riders, restarts, transport recipients).
+  // runs (restarts, transport recipients).
   void mark_frontier(VertexId v) {
     frontier_.set(v);
     marks_.widen(v);
@@ -378,7 +377,7 @@ class Scheduler {
 
   const Network* network_;
   VertexId num_nodes_ = 0;  // cached: read every round by the hot loop
-  std::vector<std::unique_ptr<NodeProgram>> programs_;
+  NodeProgram* program_;
   SchedulerOptions options_;
 
   // --- flat inboxes (rebuilt every round from the lanes' buckets) ---
@@ -393,7 +392,6 @@ class Scheduler {
   // (threads > 1).
   std::vector<VertexId> active_;
   std::span<const VertexId> order_;  // this round's invocation order
-  std::vector<VertexId> idle_riders_;  // wants_idle_rounds programs
   MarkWindow marks_;  // marks made outside the jobs, plus folded lane marks
   // The round left a program non-quiescent or a message in flight.
   bool busy_ = false;

@@ -1,7 +1,7 @@
 #include "congest/tree_ops.h"
 
+#include <bit>
 #include <limits>
-#include <memory>
 #include <unordered_set>
 
 #include "congest/scheduler.h"
@@ -15,187 +15,186 @@ constexpr std::uint32_t kTagGather = 10;
 constexpr std::uint32_t kTagBroadcast = 11;
 constexpr std::uint32_t kTagAggregate = 12;
 
+// Each non-root vertex forwards its queue (own items, then what its children
+// sent) to its parent, one item per round.
 class GatherProgram final : public NodeProgram {
  public:
-  GatherProgram(VertexId self, const BfsTreeResult& tree,
-                std::vector<TreeItem> own, bool dedupe,
+  GatherProgram(const BfsTreeResult& tree,
+                const std::vector<std::vector<TreeItem>>& items, bool dedupe,
                 std::vector<TreeItem>& root_sink)
-      : self_(self), tree_(tree), dedupe_(dedupe), root_sink_(root_sink) {
-    for (TreeItem& item : own) accept(item);
+      : tree_(tree), root_sink_(root_sink), queue_(items.size()),
+        cursor_(items.size(), 0), seen_keys_(dedupe ? items.size() : 0) {
+    for (size_t v = 0; v < items.size(); ++v)
+      for (const TreeItem& item : items[v]) accept(v, item);
   }
 
   void on_round(NodeContext& ctx, std::span<const Delivery> inbox) override {
+    const size_t v = static_cast<size_t>(ctx.self());
     for (const Delivery& d : inbox) {
       LN_ASSERT(d.msg.tag == kTagGather);
-      accept({d.msg.word(0), d.msg.word(1), d.msg.word(2)});
+      accept(v, {d.msg.word(0), d.msg.word(1), d.msg.word(2)});
     }
-    if (self_ != tree_.root && cursor_ < queue_.size()) {
-      if (parent_link_ < 0)
-        parent_link_ = ctx.link_to(tree_.parent[static_cast<size_t>(self_)]);
-      const TreeItem& item = queue_[cursor_++];
-      ctx.send_on_link(parent_link_,
-                       Message(kTagGather, {item.key, item.a, item.b}));
-    }
+    if (quiescent(ctx.self())) return;
+    const TreeItem& item = queue_[v][cursor_[v]++];
+    ctx.send(tree_.parent[v], Message(kTagGather, {item.key, item.a, item.b}));
   }
 
-  bool quiescent() const override {
-    return self_ == tree_.root || cursor_ >= queue_.size();
+  bool quiescent(VertexId v) const override {
+    const size_t i = static_cast<size_t>(v);
+    return v == tree_.root || cursor_[i] >= queue_[i].size();
   }
 
  private:
-  void accept(const TreeItem& item) {
-    if (dedupe_ && !seen_keys_.insert(item.key).second) return;
-    if (self_ == tree_.root) {
+  void accept(size_t v, const TreeItem& item) {
+    if (!seen_keys_.empty() && !seen_keys_[v].insert(item.key).second) return;
+    if (static_cast<VertexId>(v) == tree_.root) {
       root_sink_.push_back(item);
     } else {
-      queue_.push_back(item);
+      queue_[v].push_back(item);
     }
   }
 
-  VertexId self_;
   const BfsTreeResult& tree_;
-  bool dedupe_;
   std::vector<TreeItem>& root_sink_;
-  std::vector<TreeItem> queue_;
-  size_t cursor_ = 0;
-  int parent_link_ = -1;  // resolved lazily, then reused every send
-  std::unordered_set<std::uint64_t> seen_keys_;
+  std::vector<std::vector<TreeItem>> queue_;
+  std::vector<std::uint32_t> cursor_;
+  std::vector<std::unordered_set<std::uint64_t>> seen_keys_;  // when deduping
 };
 
+// The root's items travel down the tree in order, one per round per edge, so
+// a vertex's queue is the prefix of `items` it has received so far; a lost
+// item fails the reach check after the run.
 class BroadcastProgram final : public NodeProgram {
  public:
-  BroadcastProgram(VertexId self, const BfsTreeResult& tree,
-                   const std::vector<std::vector<VertexId>>& children,
+  BroadcastProgram(const Network& net, const BfsTreeResult& tree,
                    const std::vector<TreeItem>& items,
-                   std::vector<int>& received_counts)
-      : self_(self), tree_(tree),
-        children_(children[static_cast<size_t>(self)]),
-        received_counts_(received_counts) {
-    if (self_ == tree_.root) {
-      queue_ = items;
-      received_counts_[static_cast<size_t>(self_)] =
-          static_cast<int>(items.size());
+                   std::vector<int>& received)
+      : items_(items), received_(received), child_begin_(received.size() + 1),
+        cursor_(received.size(), 0) {
+    // Each vertex's links to its children, ascending by child id.
+    const size_t n = received.size();
+    for (size_t v = 0; v < n; ++v)
+      if (tree.parent[v] != kNoVertex)
+        ++child_begin_[static_cast<size_t>(tree.parent[v]) + 1];
+    for (size_t v = 0; v < n; ++v) child_begin_[v + 1] += child_begin_[v];
+    child_links_.resize(child_begin_[n]);
+    std::vector<std::uint32_t> fill(child_begin_.begin(),
+                                    child_begin_.end() - 1);
+    for (size_t v = 0; v < n; ++v) {
+      const VertexId p = tree.parent[v];
+      if (p == kNoVertex) continue;
+      child_links_[fill[static_cast<size_t>(p)]++] =
+          net.link_index(p, static_cast<VertexId>(v));
     }
+    received_[static_cast<size_t>(tree.root)] = static_cast<int>(items.size());
   }
 
   void on_round(NodeContext& ctx, std::span<const Delivery> inbox) override {
+    const size_t v = static_cast<size_t>(ctx.self());
     for (const Delivery& d : inbox) {
       LN_ASSERT(d.msg.tag == kTagBroadcast);
-      queue_.push_back({d.msg.word(0), d.msg.word(1), d.msg.word(2)});
-      ++received_counts_[static_cast<size_t>(self_)];
+      ++received_[v];
     }
-    if (cursor_ < queue_.size()) {
-      if (child_links_.size() != children_.size()) {
-        child_links_.reserve(children_.size());
-        for (VertexId child : children_)
-          child_links_.push_back(ctx.link_to(child));
-      }
-      const TreeItem& item = queue_[cursor_++];
-      const Message msg(kTagBroadcast, {item.key, item.a, item.b});
-      for (int link : child_links_) ctx.send_on_link(link, msg);
-    }
+    if (quiescent(ctx.self())) return;
+    const TreeItem& item = items_[cursor_[v]++];
+    const Message msg(kTagBroadcast, {item.key, item.a, item.b});
+    for (std::uint32_t i = child_begin_[v]; i < child_begin_[v + 1]; ++i)
+      ctx.send_on_link(child_links_[i], msg);
   }
 
-  bool quiescent() const override { return cursor_ >= queue_.size(); }
+  bool quiescent(VertexId v) const override {
+    return cursor_[static_cast<size_t>(v)] >=
+           static_cast<std::uint32_t>(received_[static_cast<size_t>(v)]);
+  }
 
  private:
-  VertexId self_;
-  const BfsTreeResult& tree_;
-  const std::vector<VertexId>& children_;
-  std::vector<int>& received_counts_;
-  std::vector<int> child_links_;  // resolved lazily, then reused every send
-  std::vector<TreeItem> queue_;
-  size_t cursor_ = 0;
+  const std::vector<TreeItem>& items_;
+  std::vector<int>& received_;
+  std::vector<std::uint32_t> child_begin_;  // CSR offsets into child_links_
+  std::vector<int> child_links_;
+  std::vector<std::uint32_t> cursor_;
 };
 
+// Per vertex and key, the best contribution so far (vertex-major, num_keys
+// per vertex) and how many children have reported the key; a vertex passes
+// key k up once all its children have, keys in ascending order.
 class AggregateProgram final : public NodeProgram {
  public:
-  AggregateProgram(VertexId self, const BfsTreeResult& tree, int num_keys,
-                   int num_children, std::vector<TreeItem> own,
+  AggregateProgram(const BfsTreeResult& tree, int num_keys,
+                   const std::vector<std::vector<TreeItem>>& contributions,
                    std::vector<TreeItem>& root_sink)
-      : self_(self), tree_(tree), num_keys_(num_keys),
-        num_children_(num_children), root_sink_(root_sink) {
-    best_.assign(static_cast<size_t>(num_keys), TreeItem{});
-    best_value_.assign(static_cast<size_t>(num_keys),
-                       -std::numeric_limits<Weight>::infinity());
-    received_.assign(static_cast<size_t>(num_keys), 0);
-    for (const TreeItem& item : own) {
-      LN_ASSERT(item.key < static_cast<std::uint64_t>(num_keys));
-      consider(item);
-    }
+      : tree_(tree), num_keys_(num_keys), root_sink_(root_sink),
+        num_children_(contributions.size(), 0),
+        best_(contributions.size() * static_cast<size_t>(num_keys),
+              TreeItem{0, kMinusInfinity, 0}),
+        received_(best_.size(), 0), cursor_(contributions.size(), 0) {
+    for (VertexId p : tree.parent)
+      if (p != kNoVertex) ++num_children_[static_cast<size_t>(p)];
+    for (size_t v = 0; v < contributions.size(); ++v)
+      for (const TreeItem& item : contributions[v]) {
+        LN_ASSERT(item.key < static_cast<std::uint64_t>(num_keys));
+        consider(v, item);
+      }
   }
 
   void on_round(NodeContext& ctx, std::span<const Delivery> inbox) override {
+    const size_t v = static_cast<size_t>(ctx.self());
     for (const Delivery& d : inbox) {
       LN_ASSERT(d.msg.tag == kTagAggregate);
-      TreeItem item{d.msg.word(0), d.msg.word(1), d.msg.word(2)};
-      consider(item);
-      ++received_[static_cast<size_t>(item.key)];
+      const TreeItem item{d.msg.word(0), d.msg.word(1), d.msg.word(2)};
+      consider(v, item);
+      ++received_[slot(v, static_cast<int>(item.key))];
     }
-    if (self_ == tree_.root) {
+    int& cursor = cursor_[v];
+    if (ctx.self() == tree_.root) {
       // Root finalizes keys in order as their subtrees complete.
-      while (cursor_ < num_keys_ &&
-             received_[static_cast<size_t>(cursor_)] == num_children_) {
-        root_sink_.push_back(finalized(cursor_));
-        ++cursor_;
-      }
+      while (cursor < num_keys_ && complete(v, cursor))
+        root_sink_.push_back(finalized(v, cursor++));
       return;
     }
-    if (cursor_ < num_keys_ &&
-        received_[static_cast<size_t>(cursor_)] == num_children_) {
-      if (parent_link_ < 0)
-        parent_link_ = ctx.link_to(tree_.parent[static_cast<size_t>(self_)]);
-      const TreeItem item = finalized(cursor_);
-      ++cursor_;
-      ctx.send_on_link(parent_link_,
-                       Message(kTagAggregate, {item.key, item.a, item.b}));
+    if (cursor < num_keys_ && complete(v, cursor)) {
+      const TreeItem item = finalized(v, cursor++);
+      ctx.send(tree_.parent[v],
+               Message(kTagAggregate, {item.key, item.a, item.b}));
     }
   }
 
-  bool quiescent() const override { return cursor_ >= num_keys_; }
+  bool quiescent(VertexId v) const override {
+    return cursor_[static_cast<size_t>(v)] >= num_keys_;
+  }
 
  private:
-  void consider(const TreeItem& item) {
-    const Weight value = Message::decode_weight(item.a);
-    if (value > best_value_[item.key]) {
-      best_value_[item.key] = value;
-      best_[item.key] = item;
-    }
-  }
+  static constexpr std::uint64_t kMinusInfinity =
+      std::bit_cast<std::uint64_t>(-std::numeric_limits<Weight>::infinity());
 
-  TreeItem finalized(int key) {
-    TreeItem item = best_[static_cast<size_t>(key)];
+  size_t slot(size_t v, int key) const {
+    return v * static_cast<size_t>(num_keys_) + static_cast<size_t>(key);
+  }
+  bool complete(size_t v, int key) const {
+    return received_[slot(v, key)] == num_children_[v];
+  }
+  void consider(size_t v, const TreeItem& item) {
+    TreeItem& best = best_[slot(v, static_cast<int>(item.key))];
+    if (Message::decode_weight(item.a) > Message::decode_weight(best.a))
+      best = item;
+  }
+  // An absent key keeps a = -infinity, with b = 0.
+  TreeItem finalized(size_t v, int key) const {
+    TreeItem item = best_[slot(v, key)];
     item.key = static_cast<std::uint64_t>(key);
-    if (best_value_[static_cast<size_t>(key)] ==
-        -std::numeric_limits<Weight>::infinity()) {
-      item.a = Message::encode_weight(
-          -std::numeric_limits<Weight>::infinity());
-    }
     return item;
   }
 
-  VertexId self_;
   const BfsTreeResult& tree_;
   int num_keys_;
-  int num_children_;
-  int parent_link_ = -1;  // resolved lazily, then reused every send
   std::vector<TreeItem>& root_sink_;
+  std::vector<int> num_children_;
   std::vector<TreeItem> best_;
-  std::vector<Weight> best_value_;
   std::vector<int> received_;
-  int cursor_ = 0;
+  std::vector<int> cursor_;
 };
 
 }  // namespace
-
-std::vector<std::vector<VertexId>> bfs_children(const BfsTreeResult& tree) {
-  std::vector<std::vector<VertexId>> children(tree.parent.size());
-  for (size_t v = 0; v < tree.parent.size(); ++v)
-    if (tree.parent[v] != kNoVertex)
-      children[static_cast<size_t>(tree.parent[v])].push_back(
-          static_cast<VertexId>(v));
-  return children;
-}
 
 GatherResult gather_to_root(const WeightedGraph& g, const BfsTreeResult& tree,
                             const std::vector<std::vector<TreeItem>>& items,
@@ -204,13 +203,8 @@ GatherResult gather_to_root(const WeightedGraph& g, const BfsTreeResult& tree,
              "one item list per vertex required");
   GatherResult result;
   Network net(g);
-  std::vector<std::unique_ptr<NodeProgram>> programs;
-  programs.reserve(items.size());
-  for (VertexId v = 0; v < g.num_vertices(); ++v)
-    programs.push_back(std::make_unique<GatherProgram>(
-        v, tree, items[static_cast<size_t>(v)], dedupe_by_key, result.items));
-  Scheduler scheduler(net, std::move(programs), sched);
-  result.cost = scheduler.run();
+  GatherProgram program(tree, items, dedupe_by_key, result.items);
+  result.cost = Scheduler(net, program, sched).run();
   return result;
 }
 
@@ -219,16 +213,10 @@ BroadcastResult broadcast_from_root(const WeightedGraph& g,
                                     const std::vector<TreeItem>& items,
                                     SchedulerOptions sched) {
   BroadcastResult result;
-  const auto children = bfs_children(tree);
   std::vector<int> received(static_cast<size_t>(g.num_vertices()), 0);
   Network net(g);
-  std::vector<std::unique_ptr<NodeProgram>> programs;
-  programs.reserve(static_cast<size_t>(g.num_vertices()));
-  for (VertexId v = 0; v < g.num_vertices(); ++v)
-    programs.push_back(std::make_unique<BroadcastProgram>(
-        v, tree, children, items, received));
-  Scheduler scheduler(net, std::move(programs), sched);
-  result.cost = scheduler.run();
+  BroadcastProgram program(net, tree, items, received);
+  result.cost = Scheduler(net, program, sched).run();
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     if (v == tree.root) continue;
     LN_ASSERT_MSG(received[static_cast<size_t>(v)] ==
@@ -245,17 +233,9 @@ KeyedAggregateResult keyed_max_aggregate(
   LN_REQUIRE(static_cast<int>(contributions.size()) == g.num_vertices(),
              "one contribution list per vertex required");
   KeyedAggregateResult result;
-  const auto children = bfs_children(tree);
   Network net(g);
-  std::vector<std::unique_ptr<NodeProgram>> programs;
-  programs.reserve(static_cast<size_t>(g.num_vertices()));
-  for (VertexId v = 0; v < g.num_vertices(); ++v)
-    programs.push_back(std::make_unique<AggregateProgram>(
-        v, tree, num_keys,
-        static_cast<int>(children[static_cast<size_t>(v)].size()),
-        contributions[static_cast<size_t>(v)], result.best));
-  Scheduler scheduler(net, std::move(programs), sched);
-  result.cost = scheduler.run();
+  AggregateProgram program(tree, num_keys, contributions, result.best);
+  result.cost = Scheduler(net, program, sched).run();
   LN_ASSERT(static_cast<int>(result.best.size()) == num_keys);
   return result;
 }

@@ -71,8 +71,4 @@ KeyedAggregateResult keyed_max_aggregate(
     const std::vector<std::vector<TreeItem>>& contributions,
     SchedulerOptions sched = {});
 
-// Children lists of a BFS tree (helper shared by the programs here and by
-// phase code that walks τ).
-std::vector<std::vector<VertexId>> bfs_children(const BfsTreeResult& tree);
-
 }  // namespace lightnet::congest

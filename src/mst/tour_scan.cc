@@ -1,9 +1,5 @@
 #include "mst/tour_scan.h"
 
-#include <algorithm>
-#include <memory>
-#include <unordered_map>
-
 #include "congest/scheduler.h"
 #include "support/assert.h"
 
@@ -24,12 +20,10 @@ constexpr std::uint32_t kTagScan = 50;
 // (or anchor) behind it.
 class ScanProgram final : public NodeProgram {
  public:
-  ScanProgram(VertexId self, const EulerTourResult& tour,
-              const std::vector<char>& is_anchor,
+  ScanProgram(const EulerTourResult& tour, const std::vector<char>& is_anchor,
               const std::vector<char>& is_interval_end,
-              const std::vector<Weight>& threshold,
-              std::vector<char>& joined)
-      : self_(self), tour_(tour), is_anchor_(is_anchor),
+              const std::vector<Weight>& threshold, std::vector<char>& joined)
+      : tour_(tour), is_anchor_(is_anchor),
         is_interval_end_(is_interval_end), threshold_(threshold),
         joined_(joined) {}
 
@@ -37,7 +31,7 @@ class ScanProgram final : public NodeProgram {
     if (ctx.round() == 0) {
       // Anchors launch their interval's token toward the next position.
       for (const TourAppearance& app :
-           tour_.appearances[static_cast<size_t>(self_)]) {
+           tour_.appearances[static_cast<size_t>(ctx.self())]) {
         if (is_anchor_[static_cast<size_t>(app.index)])
           forward(ctx, app.index, app.time);
       }
@@ -47,7 +41,7 @@ class ScanProgram final : public NodeProgram {
       LN_ASSERT(d.msg.tag == kTagScan);
       const std::int64_t pos = static_cast<std::int64_t>(d.msg.word(0));
       const Weight carried = Message::decode_weight(d.msg.word(1));
-      LN_ASSERT_MSG(tour_.sequence[static_cast<size_t>(pos)] == self_,
+      LN_ASSERT_MSG(tour_.sequence[static_cast<size_t>(pos)] == ctx.self(),
                     "scan token delivered to the wrong host");
       const Weight r = tour_.times[static_cast<size_t>(pos)];
       Weight next_carried = carried;
@@ -59,7 +53,7 @@ class ScanProgram final : public NodeProgram {
     }
   }
 
-  bool quiescent() const override { return true; }  // purely reactive
+  bool quiescent(VertexId) const override { return true; }  // purely reactive
 
  private:
   void forward(NodeContext& ctx, std::int64_t pos, Weight carried) {
@@ -71,7 +65,6 @@ class ScanProgram final : public NodeProgram {
                                 Message::encode_weight(carried)}));
   }
 
-  VertexId self_;
   const EulerTourResult& tour_;
   const std::vector<char>& is_anchor_;
   const std::vector<char>& is_interval_end_;
@@ -106,15 +99,9 @@ TourScanResult tour_interval_scan(const WeightedGraph& g,
 
   std::vector<char> joined(num_positions, 0);
   congest::Network net(g);
-  std::vector<std::unique_ptr<NodeProgram>> programs;
-  programs.reserve(static_cast<size_t>(g.num_vertices()));
-  for (VertexId v = 0; v < g.num_vertices(); ++v)
-    programs.push_back(std::make_unique<ScanProgram>(
-        v, tour, is_anchor, is_interval_end, threshold, joined));
-  congest::Scheduler scheduler(net, std::move(programs), sched);
-
+  ScanProgram program(tour, is_anchor, is_interval_end, threshold, joined);
   TourScanResult result;
-  result.cost = scheduler.run();
+  result.cost = congest::Scheduler(net, program, sched).run();
   for (size_t j = 0; j < num_positions; ++j)
     if (joined[j]) result.joined.push_back(static_cast<std::int64_t>(j));
   return result;

@@ -1,8 +1,8 @@
 #include "routines/bounded_multisource.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
-#include <memory>
 #include <utility>
 
 #include "congest/scheduler.h"
@@ -193,86 +193,94 @@ void merge_appended(SourceTable& table, size_t sorted_len) {
 // records on every link they can still improve. A source's records live
 // only in its owning channel, and every offer travels on that channel, so
 // one index per vertex maps each source to its position in the owning
-// channel's table.
+// channel's table. A call announces every record it improved before it
+// returns, so a vertex's state between calls is its tables and its index.
 class WaveProgram final : public NodeProgram {
  public:
-  WaveProgram(VertexId self, const std::vector<Weight>& channel_radius,
+  WaveProgram(const std::vector<Weight>& channel_radius,
               const std::vector<Weight>& explored_radius,
               std::vector<std::vector<SourceTable>>& state)
-      : self_(self),
-        channel_radius_(channel_radius),
+      : channel_radius_(channel_radius),
         explored_radius_(explored_radius),
         state_(state),
-        sorted_len_(channel_radius.size()),
-        pending_(channel_radius.size()) {
-    for (size_t ch = 0; ch < sorted_len_.size(); ++ch)
-      sorted_len_[ch] = state[ch][static_cast<size_t>(self)].size();
+        sorted_len_(state.front().size() * channel_radius.size()),
+        index_(state.front().size()) {
+    const size_t K = channel_radius.size();
+    for (size_t v = 0; v < index_.size(); ++v)
+      for (size_t ch = 0; ch < K; ++ch)
+        sorted_len_[v * K + ch] =
+            static_cast<std::uint32_t>(state[ch][v].size());
+    for (LaneScratch& lane : lanes_) lane.pending.resize(K);
   }
 
   void on_round(NodeContext& ctx, std::span<const Delivery> inbox) override {
-    if (index_.empty()) build_index();
+    const size_t v = static_cast<size_t>(ctx.self());
+    LaneScratch& lane = lanes_[static_cast<size_t>(ctx.lane())];
+    SourceIndex& index = index_[v];
+    if (index.empty()) build_index(v);
     for (const Delivery& d : inbox) {
       LN_ASSERT(d.msg.tag == kTagBoundedBatch);
       const std::uint8_t ch = d.msg.channel;
-      SourceTable& table = state_[ch][static_cast<size_t>(self_)];
-      std::vector<VertexId>& pending = pending_[ch];
+      std::vector<VertexId>& pending = lane.pending[ch];
       const Weight w = ctx.network().graph().edge(d.edge).w;
-      relax_offers(table, index_, ctx.payload(d.msg), w, channel_radius_[ch],
-                   d.from, d.edge,
+      relax_offers(state_[ch][v], index, ctx.payload(d.msg), w,
+                   channel_radius_[ch], d.from, d.edge,
                    [&pending](VertexId s) { pending.push_back(s); });
     }
     if (ctx.round() == 0) {
-      announce_shell(ctx);
+      announce_shell(ctx, lane);
       return;
     }
     const auto links = ctx.links();
     const WeightedGraph& g = ctx.network().graph();
-    for (size_t ch = 0; ch < pending_.size(); ++ch) {
-      std::vector<VertexId>& pending = pending_[ch];
+    for (size_t ch = 0; ch < lane.pending.size(); ++ch) {
+      std::vector<VertexId>& pending = lane.pending[ch];
       if (pending.empty()) continue;
       std::sort(pending.begin(), pending.end());
       pending.erase(std::unique(pending.begin(), pending.end()),
                     pending.end());
-      const SourceTable& table = state_[ch][static_cast<size_t>(self_)];
+      const SourceTable& table = state_[ch][v];
       const Weight radius = channel_radius_[ch];
       // Resolve the improved records' current distances once, then pack a
       // per-link payload keeping only offers with dist + w(ℓ) ≤ radius:
       // strictly stronger than the min-incident prune, and the receiver
       // never sees an offer it would reject on the radius check.
-      ann_buf_.clear();
+      lane.announce.clear();
       for (VertexId s : pending) {
-        const Weight dist = table[index_.at(s)].dist;
-        ann_buf_.push_back({s, dist, Message::encode_weight(dist)});
+        const Weight dist = table[index.at(s)].dist;
+        lane.announce.push_back({s, dist, Message::encode_weight(dist)});
       }
       pending.clear();
       for (size_t li = 0; li < links.size(); ++li) {
         const Weight w = g.edge(links[li].edge).w;
-        words_buf_.clear();
-        words_buf_.reserve(ann_buf_.size() * 2);
-        for (const Announce& a : ann_buf_) {
+        lane.words.clear();
+        lane.words.reserve(lane.announce.size() * 2);
+        for (const Announce& a : lane.announce) {
           if (a.dist + w > radius) continue;
-          words_buf_.push_back(static_cast<std::uint64_t>(a.source));
-          words_buf_.push_back(a.encoded);
+          lane.words.push_back(static_cast<std::uint64_t>(a.source));
+          lane.words.push_back(a.encoded);
         }
-        if (!words_buf_.empty())
+        if (!lane.words.empty())
           ctx.send_words_on_link(static_cast<int>(li), kTagBoundedBatch,
-                                 words_buf_, static_cast<std::uint8_t>(ch));
+                                 lane.words, static_cast<std::uint8_t>(ch));
       }
     }
   }
 
-  bool quiescent() const override {
-    for (const std::vector<VertexId>& p : pending_)
-      if (!p.empty()) return false;
-    return true;
-  }
+  bool quiescent(VertexId) const override { return true; }
 
-  size_t shell_offers() const { return shell_offers_; }
+  size_t shell_offers() const {
+    size_t total = 0;
+    for (const LaneScratch& lane : lanes_) total += lane.shell_offers;
+    return total;
+  }
 
   // Called once the run is over: restores every channel table's order.
   void seal() {
-    for (size_t ch = 0; ch < sorted_len_.size(); ++ch)
-      merge_appended(state_[ch][static_cast<size_t>(self_)], sorted_len_[ch]);
+    const size_t K = channel_radius_.size();
+    for (size_t v = 0; v < index_.size(); ++v)
+      for (size_t ch = 0; ch < K; ++ch)
+        merge_appended(state_[ch][v], sorted_len_[v * K + ch]);
   }
 
  private:
@@ -286,13 +294,22 @@ class WaveProgram final : public NodeProgram {
     Weight dist;
     Weight explored;
   };
+  // One call's scratch, kept per lane so that concurrent calls never share
+  // it and no call allocates it afresh.
+  struct alignas(64) LaneScratch {
+    std::vector<std::vector<VertexId>> pending;  // per channel: improved
+    std::vector<std::uint64_t> words;
+    std::vector<Announce> announce;
+    std::vector<ShellRec> shell;
+    size_t shell_offers = 0;  // run total of the lane's shell offers
+  };
 
-  void build_index() {
+  void build_index(size_t v) {
+    const size_t K = channel_radius_.size();
     size_t records = 0;
-    for (const size_t len : sorted_len_) records += len;
-    index_.reset(records);
-    for (const std::vector<SourceTable>& chan : state_)
-      index_.add(chan[static_cast<size_t>(self_)]);
+    for (size_t ch = 0; ch < K; ++ch) records += sorted_len_[v * K + ch];
+    index_[v].reset(records);
+    for (const std::vector<SourceTable>& chan : state_) index_[v].add(chan[v]);
   }
 
   // Warm-start announcements: a record (s, d) is offered on link ℓ only if
@@ -304,7 +321,7 @@ class WaveProgram final : public NodeProgram {
   // majority on warm starts) are rejected with a single comparison against
   // the extreme incident weights instead of deg(v) per-link checks. Round 0
   // delivers nothing, so the tables are still in source order here.
-  void announce_shell(NodeContext& ctx) {
+  void announce_shell(NodeContext& ctx, LaneScratch& lane) {
     const auto links = ctx.links();
     if (links.empty()) return;
     const WeightedGraph& g = ctx.network().graph();
@@ -316,66 +333,47 @@ class WaveProgram final : public NodeProgram {
       wmax = std::max(wmax, w);
     }
     for (size_t ch = 0; ch < channel_radius_.size(); ++ch) {
-      const SourceTable& table = state_[ch][static_cast<size_t>(self_)];
+      const SourceTable& table = state_[ch][static_cast<size_t>(ctx.self())];
       if (table.empty()) continue;
       const Weight radius = channel_radius_[ch];
-      shell_buf_.clear();
+      lane.shell.clear();
       for (const BoundedSourceEntry& e : table) {
         const Weight explored = explored_radius_[static_cast<size_t>(e.source)];
         if (e.dist + wmax <= explored) continue;  // interior on every link
         if (e.dist + wmin > radius) continue;     // out of range everywhere
-        shell_buf_.push_back({e.source, e.dist, explored});
+        lane.shell.push_back({e.source, e.dist, explored});
       }
-      if (shell_buf_.empty()) continue;
+      if (lane.shell.empty()) continue;
       for (size_t li = 0; li < links.size(); ++li) {
         const Weight w = g.edge(links[li].edge).w;
-        words_buf_.clear();
-        for (const ShellRec& r : shell_buf_) {
+        lane.words.clear();
+        for (const ShellRec& r : lane.shell) {
           const Weight cand = r.dist + w;
           if (cand > radius || cand <= r.explored) continue;
-          words_buf_.push_back(static_cast<std::uint64_t>(r.source));
-          words_buf_.push_back(Message::encode_weight(r.dist));
+          lane.words.push_back(static_cast<std::uint64_t>(r.source));
+          lane.words.push_back(Message::encode_weight(r.dist));
         }
-        if (!words_buf_.empty()) {
-          shell_offers_ += words_buf_.size() / 2;
+        if (!lane.words.empty()) {
+          lane.shell_offers += lane.words.size() / 2;
           ctx.send_words_on_link(static_cast<int>(li), kTagBoundedBatch,
-                                 words_buf_, static_cast<std::uint8_t>(ch));
+                                 lane.words, static_cast<std::uint8_t>(ch));
         }
       }
     }
   }
 
-  VertexId self_;
   const std::vector<Weight>& channel_radius_;
   const std::vector<Weight>& explored_radius_;
   std::vector<std::vector<SourceTable>>& state_;
-  std::vector<size_t> sorted_len_;  // per channel: table size at run start
-  SourceIndex index_;               // built on the first invocation
-  std::vector<std::vector<VertexId>> pending_;  // per channel
-  std::vector<std::uint64_t> words_buf_;
-  std::vector<Announce> ann_buf_;
-  std::vector<ShellRec> shell_buf_;
-  size_t shell_offers_ = 0;
+  // Per vertex and channel (vertex-major): the table's size at run start.
+  std::vector<std::uint32_t> sorted_len_;
+  std::vector<SourceIndex> index_;  // per vertex, built on its first call
+  std::array<LaneScratch, congest::Scheduler::kMaxLanes> lanes_;
 };
 
 constexpr std::uint8_t kNoChannel = 0xff;
 
 }  // namespace
-
-BoundedMultiSourceResult bounded_multi_source_paths(
-    const RoundedSubstrate& substrate, std::span<const VertexId> sources,
-    Weight radius, congest::SchedulerOptions sched) {
-  const WaveScale scale{sources, radius};
-  WaveExploreResult wave = bounded_multi_source_paths_wave(
-      substrate, std::span<const WaveScale>(&scale, 1), {}, sched);
-  BoundedMultiSourceResult result;
-  result.table = std::move(wave.state.table[0]);
-  result.cost = wave.cost;
-  for (const SourceTable& table : result.table)
-    result.max_sources_per_vertex =
-        std::max(result.max_sources_per_vertex, table.size());
-  return result;
-}
 
 WaveExploreResult bounded_multi_source_paths_wave(
     const RoundedSubstrate& substrate, std::span<const WaveScale> scales,
@@ -463,18 +461,10 @@ WaveExploreResult bounded_multi_source_paths_wave(
 
   sched.strict_congest = false;  // batched multi-word encoding
   sched.channels = K;
-  std::vector<std::unique_ptr<NodeProgram>> programs;
-  programs.reserve(static_cast<size_t>(n));
-  for (VertexId v = 0; v < n; ++v)
-    programs.push_back(std::make_unique<WaveProgram>(
-        v, channel_radius, state.explored_radius, state.table));
-  congest::Scheduler scheduler(substrate.network, std::move(programs), sched);
-  result.cost = scheduler.run();
-  for (VertexId v = 0; v < n; ++v) {
-    WaveProgram& program = static_cast<WaveProgram&>(scheduler.program(v));
-    program.seal();
-    result.shell_announcements += program.shell_offers();
-  }
+  WaveProgram program(channel_radius, state.explored_radius, state.table);
+  result.cost = congest::Scheduler(substrate.network, program, sched).run();
+  program.seal();
+  result.shell_announcements = program.shell_offers();
 
   // The wave's sources now stand explored to their owning scale's radius.
   for (VertexId v = 0; v < n; ++v) {
@@ -503,23 +493,6 @@ const BoundedSourceEntry* find_source_entry(
   const auto it = table_find(entries, source);
   if (it == entries.end() || it->source != source) return nullptr;
   return &*it;
-}
-
-std::vector<EdgeId> extract_path(const BoundedMultiSourceResult& result,
-                                 VertexId target, VertexId source) {
-  std::vector<EdgeId> path;
-  VertexId cur = target;
-  while (cur != source) {
-    const BoundedSourceEntry* e = find_source_entry(result.table, cur, source);
-    if (e == nullptr) return {};
-    if (e->parent == kNoVertex) break;  // reached the source record
-    path.push_back(e->parent_edge);
-    cur = e->parent;
-    LN_ASSERT_MSG(path.size() <= result.table.size(),
-                  "path extraction did not terminate");
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
 }
 
 bool collect_path_edges(

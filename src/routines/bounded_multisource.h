@@ -9,8 +9,9 @@
 // O(1); when the run returns, each table's appended tail is sorted and
 // merged into its sorted prefix once. In doubling graphs the packing
 // property bounds the number of sources touching any vertex, which bounds
-// both memory and rounds — the max_sources_per_vertex field is the per-run
-// certificate of that argument.
+// both memory and rounds — the doubling pipeline's per-scale
+// max_sources_per_vertex diagnostic is the per-run certificate of that
+// argument.
 //
 // One kernel program and one encoding. Each round a vertex announces ALL
 // sources whose distance improved, packed as (source, dist) pairs into one
@@ -20,7 +21,7 @@
 // every packed word and max_edge_load the ceil(words/kMaxWords) bandwidth
 // multiple — so the ledger states exactly how far the encoding stretches
 // the one-message budget (strict_congest is force-disabled for that
-// reason). The cold entry point is a one-scale wave.
+// reason).
 //
 // Every run converges to the same fixed point: every record holds the
 // bounded (1+ε)-rounded distance and, among the neighbors that realize it,
@@ -51,26 +52,12 @@ struct BoundedSourceEntry {
 static_assert(sizeof(BoundedSourceEntry) == 24,
               "records stay 24 bytes: 4 bytes of padding follow parent_edge");
 
-struct BoundedMultiSourceResult {
-  // table[v]: entries sorted by source id; one per source with
-  // d_H(source, v) ≤ radius (H = (1+ε)-rounded weights).
-  std::vector<std::vector<BoundedSourceEntry>> table;
-  size_t max_sources_per_vertex = 0;
-  congest::CostStats cost;
-};
-
-// Cold exploration of `sources` to `radius`, distances w.r.t.
-// substrate.rounded: a one-scale wave (below) from an empty state. `sched`
-// pins the scheduler mode; tables are identical in every mode.
-BoundedMultiSourceResult bounded_multi_source_paths(
-    const RoundedSubstrate& substrate, std::span<const VertexId> sources,
-    Weight radius, congest::SchedulerOptions sched = {});
-
 // ---- Concurrent-scale (wave) explorations -------------------------------
 //
 // The doubling pipeline fuses several consecutive scales' explorations
 // into ONE scheduler execution, a wave (its seed-filter chain and the
-// sequential_scales reference run one-scale waves): scale k of the wave
+// sequential_scales reference run one-scale waves, and a cold exploration
+// is a one-scale wave from an empty state): scale k of the wave
 // becomes message channel k (congest/message.h), every vertex keeps
 // per-channel source tables, and congestion is accounted per channel. A
 // source active at several of the wave's scales is OWNED by the LAST scale
@@ -133,17 +120,10 @@ WaveExploreResult bounded_multi_source_paths_wave(
     WaveExploreState prev, congest::SchedulerOptions sched = {});
 
 // Binary search over table[v] (sorted by source); nullptr if the source's
-// ball does not reach v. `table` is a result's table or one channel of a
-// wave state.
+// ball does not reach v. `table` is one channel of a wave state.
 const BoundedSourceEntry* find_source_entry(
     const std::vector<std::vector<BoundedSourceEntry>>& table, VertexId v,
     VertexId source);
-
-// Walks parent records back from `target` to `source`, returning G-edge ids
-// in source-to-target order. Empty if the source's ball does not reach
-// target.
-std::vector<EdgeId> extract_path(const BoundedMultiSourceResult& result,
-                                 VertexId target, VertexId source);
 
 // Memoized union-of-paths extraction: appends the edges of the
 // source→target path to `out`, stopping early at any vertex whose
@@ -151,8 +131,8 @@ std::vector<EdgeId> extract_path(const BoundedMultiSourceResult& result,
 // with the same (source, stamp/epoch) pair — shared prefixes are walked
 // once per source. `stamp` must be n-sized and `epoch` strictly increasing
 // across (scale, source) pairs. Returns false if target is not reached.
-// `table` is a result's table or, for a wave, the source's owning channel
-// (all of a source's records live there).
+// `table` is the source's owning channel (all of a source's records live
+// there). The edges are appended in target-to-source order.
 bool collect_path_edges(
     const std::vector<std::vector<BoundedSourceEntry>>& table, VertexId target,
     VertexId source, std::vector<std::uint32_t>& stamp, std::uint32_t epoch,

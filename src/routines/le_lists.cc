@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
 
 #include "congest/scheduler.h"
 #include "graph/shortest_paths.h"
@@ -57,19 +56,28 @@ class ParetoList {
   std::vector<LeListEntry> entries_;
 };
 
+// Per vertex: its Pareto front, and the entries it still has to forward,
+// keyed by rank. The front is published to the result whenever the queue
+// drains.
 class LeListProgram final : public NodeProgram {
  public:
-  LeListProgram(VertexId self, bool active, std::uint64_t rank,
-                Weight max_dist, LeListsResult& out)
-      : self_(self), max_dist_(max_dist), out_(out) {
-    if (active) {
-      const LeListEntry own{self_, 0.0, rank};
-      list_.insert(own);
-      pending_[own.rank] = own;
+  LeListProgram(std::span<const char> is_active,
+                std::span<const std::uint64_t> rank, Weight max_dist,
+                LeListsResult& out)
+      : max_dist_(max_dist), out_(out), list_(is_active.size()),
+        pending_(is_active.size()) {
+    for (size_t v = 0; v < is_active.size(); ++v) {
+      if (!is_active[v]) continue;
+      const LeListEntry own{static_cast<VertexId>(v), 0.0, rank[v]};
+      list_[v].insert(own);
+      pending_[v][own.rank] = own;
     }
   }
 
   void on_round(NodeContext& ctx, std::span<const Delivery> inbox) override {
+    const size_t v = static_cast<size_t>(ctx.self());
+    ParetoList& list = list_[v];
+    std::map<std::uint64_t, LeListEntry>& pending = pending_[v];
     for (const Delivery& d : inbox) {
       LN_ASSERT(d.msg.tag == kTagLe);
       LeListEntry entry;
@@ -81,44 +89,41 @@ class LeListProgram final : public NodeProgram {
       // surviving prefix of the list is unchanged (Pareto survival of an
       // entry depends only on entries no farther than itself).
       if (entry.dist > max_dist_) continue;
-      if (list_.insert(entry)) pending_[entry.rank] = entry;
+      if (list.insert(entry)) pending[entry.rank] = entry;
     }
     // Drop pending entries that were pruned from the list after queuing
     // (forwarding them would be wasted work, not incorrect).
-    while (!pending_.empty()) {
-      const LeListEntry& cand = pending_.begin()->second;
+    while (!pending.empty()) {
+      const LeListEntry& cand = pending.begin()->second;
       bool still_live = false;
-      for (const LeListEntry& e : list_.entries())
+      for (const LeListEntry& e : list.entries())
         if (e.source == cand.source && e.dist == cand.dist) still_live = true;
       if (still_live) break;
-      pending_.erase(pending_.begin());
+      pending.erase(pending.begin());
     }
-    if (!pending_.empty()) {
+    if (!pending.empty()) {
       // Forward the earliest-rank pending entry to all neighbors: one
       // message per edge per round (strict CONGEST), pipelining the rest.
-      const LeListEntry entry = pending_.begin()->second;
-      pending_.erase(pending_.begin());
+      const LeListEntry entry = pending.begin()->second;
+      pending.erase(pending.begin());
       const Message msg(kTagLe,
                         {static_cast<std::uint64_t>(entry.source), entry.rank,
                          Message::encode_weight(entry.dist)});
       const int degree = static_cast<int>(ctx.links().size());
       for (int i = 0; i < degree; ++i) ctx.send_on_link(i, msg);
     }
-    if (pending_.empty()) finalize();
+    if (pending.empty()) out_.lists[v] = list.entries();
   }
 
-  bool quiescent() const override { return pending_.empty(); }
+  bool quiescent(VertexId v) const override {
+    return pending_[static_cast<size_t>(v)].empty();
+  }
 
  private:
-  void finalize() {
-    out_.lists[static_cast<size_t>(self_)] = list_.entries();
-  }
-
-  VertexId self_;
   Weight max_dist_;
   LeListsResult& out_;
-  ParetoList list_;
-  std::map<std::uint64_t, LeListEntry> pending_;  // keyed by rank
+  std::vector<ParetoList> list_;
+  std::vector<std::map<std::uint64_t, LeListEntry>> pending_;  // by rank
 };
 
 }  // namespace
@@ -150,14 +155,8 @@ LeListsResult compute_le_lists(const RoundedSubstrate& substrate,
     is_active[static_cast<size_t>(v)] = 1;
   }
 
-  std::vector<std::unique_ptr<NodeProgram>> programs;
-  programs.reserve(static_cast<size_t>(h.num_vertices()));
-  for (VertexId v = 0; v < h.num_vertices(); ++v)
-    programs.push_back(std::make_unique<LeListProgram>(
-        v, is_active[static_cast<size_t>(v)] != 0,
-        rank[static_cast<size_t>(v)], max_dist, result));
-  congest::Scheduler scheduler(substrate.network, std::move(programs), sched);
-  result.cost = scheduler.run();
+  LeListProgram program(is_active, rank, max_dist, result);
+  result.cost = congest::Scheduler(substrate.network, program, sched).run();
 
   for (const auto& list : result.lists)
     result.max_list_size = std::max(result.max_list_size, list.size());

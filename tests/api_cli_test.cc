@@ -3,6 +3,7 @@
 // sweep (spec parsing → JSON-lines records).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -233,6 +234,21 @@ TEST(Cli, StrictValueParsingRejectsTrailingGarbage) {
     run_cli_lines({"construction=slt", "topology=path", bad}, &exit_code);
     EXPECT_EQ(exit_code, 1) << bad;
   }
+}
+
+// The unsigned parser behind the seed axes and lightnetd's size flags.
+TEST(Cli, U64ParserRejectsSignsOverflowAndTrailingCharacters) {
+  std::uint64_t out = 7;
+  for (const char* bad : {"", "-1", "-0", "12x", "1 ", "0x10",
+                          "18446744073709551616",
+                          "99999999999999999999999"}) {
+    EXPECT_FALSE(api::parse_u64_strict(bad, &out)) << bad;
+    EXPECT_EQ(out, 7u) << bad;
+  }
+  ASSERT_TRUE(api::parse_u64_strict("18446744073709551615", &out));
+  EXPECT_EQ(out, 18446744073709551615ull);
+  ASSERT_TRUE(api::parse_u64_strict("0", &out));
+  EXPECT_EQ(out, 0u);
 }
 
 TEST(Cli, HopsetZeroStillParsesAsTheDefault) {

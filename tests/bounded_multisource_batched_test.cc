@@ -16,7 +16,10 @@
 namespace lightnet {
 namespace {
 
+using testing::SourceTables;
 using testing::expect_matches_oracle;
+using testing::explore_cold;
+using testing::path_edges;
 
 std::vector<WeightedGraph> encoding_zoo(std::uint64_t seed) {
   std::vector<WeightedGraph> zoo;
@@ -33,9 +36,9 @@ TEST(BoundedBatched, TablesMatchOracleOnZoo) {
       std::vector<VertexId> sources;
       for (VertexId v = 0; v < g.num_vertices(); v += 7) sources.push_back(v);
       const Weight radius = 6.0;
-      const BoundedMultiSourceResult r =
-          bounded_multi_source_paths(substrate, sources, radius);
-      expect_matches_oracle(r, substrate.rounded, sources, radius, "cold");
+      const WaveExploreResult r = explore_cold(substrate, sources, radius);
+      expect_matches_oracle(r.state.table[0], substrate.rounded, sources,
+                            radius, "cold");
       // The batched ledger reports its honest bandwidth multiple.
       EXPECT_GE(r.cost.max_edge_load, 1u);
     }
@@ -47,14 +50,14 @@ TEST(BoundedBatched, ExtractedPathsMatchOracle) {
   const RoundedSubstrate substrate(g, 0.0);
   const std::vector<VertexId> sources{0, 13, 26, 39};
   const Weight radius = 7.5;
-  const BoundedMultiSourceResult r =
-      bounded_multi_source_paths(substrate, sources, radius);
-  const BoundedMultiSourceResult oracle =
+  const SourceTables table =
+      explore_cold(substrate, sources, radius).state.table[0];
+  const SourceTables oracle =
       testing::oracle_explore(substrate.rounded, sources, radius);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    for (const BoundedSourceEntry& e : r.table[static_cast<size_t>(v)]) {
-      const std::vector<EdgeId> path = extract_path(r, v, e.source);
-      EXPECT_EQ(path, extract_path(oracle, v, e.source))
+    for (const BoundedSourceEntry& e : table[static_cast<size_t>(v)]) {
+      const std::vector<EdgeId> path = path_edges(table, v, e.source);
+      EXPECT_EQ(path, path_edges(oracle, v, e.source))
           << "vertex " << v << " source " << e.source;
       Weight sum = 0.0;
       for (EdgeId id : path) sum += g.edge(id).w;
@@ -63,20 +66,21 @@ TEST(BoundedBatched, ExtractedPathsMatchOracle) {
   }
 }
 
-TEST(BoundedBatched, CollectPathEdgesUnionMatchesExtractPath) {
+// One epoch shared by every target walks each shared prefix once; the
+// union equals that of the unmemoized single paths.
+TEST(BoundedBatched, MemoizedPathUnionMatchesSinglePaths) {
   const WeightedGraph g = grid(6, 6, /*perturb=*/true, 8);
   const std::vector<VertexId> sources{0};
-  const BoundedMultiSourceResult r =
-      bounded_multi_source_paths(RoundedSubstrate(g, 0.0), sources, 9.0);
+  const SourceTables table =
+      explore_cold(RoundedSubstrate(g, 0.0), sources, 9.0).state.table[0];
   std::vector<std::uint32_t> stamp(static_cast<size_t>(g.num_vertices()), 0);
   std::vector<EdgeId> collected;
   for (VertexId v = 0; v < g.num_vertices(); ++v)
-    if (find_source_entry(r.table, v, 0) != nullptr)
-      EXPECT_TRUE(
-          collect_path_edges(r.table, v, 0, stamp, 1, collected));
+    if (find_source_entry(table, v, 0) != nullptr)
+      EXPECT_TRUE(collect_path_edges(table, v, 0, stamp, 1, collected));
   std::vector<EdgeId> reference;
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    const std::vector<EdgeId> path = extract_path(r, v, 0);
+    const std::vector<EdgeId> path = path_edges(table, v, 0);
     reference.insert(reference.end(), path.begin(), path.end());
   }
   EXPECT_EQ(dedupe_edge_ids(std::move(collected)),

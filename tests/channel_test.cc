@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -49,30 +48,33 @@ struct Seen {
 // delivery is logged through the receiver's per-channel dispatch.
 class TwoChannelProgram final : public NodeProgram {
  public:
-  TwoChannelProgram(VertexId self, std::vector<Seen>& log)
-      : self_(self), log_(log) {}
+  TwoChannelProgram(int n, std::vector<Seen>& log)
+      : done_(static_cast<size_t>(n), 0), log_(log) {}
 
   void on_round(NodeContext& ctx, std::span<const Delivery> inbox) override {
+    const VertexId self = ctx.self();
     for (const Delivery& d : inbox) {
       // The dispatch the wave kernels use: branch on Message::channel.
       if (d.msg.channel == 0) {
-        log_.push_back({self_, d.from, 0, d.msg.word(0)});
+        log_.push_back({self, d.from, 0, d.msg.word(0)});
       } else {
-        log_.push_back({self_, d.from, d.msg.channel, d.msg.word(0)});
+        log_.push_back({self, d.from, d.msg.channel, d.msg.word(0)});
       }
     }
     if (ctx.round() == 0) {
-      const std::uint64_t payload[] = {static_cast<std::uint64_t>(self_)};
+      const std::uint64_t payload[] = {static_cast<std::uint64_t>(self)};
       send_on_every_link(ctx, kTagA, payload, /*channel=*/0);
     } else if (ctx.round() == 1) {
       const std::uint64_t payload[] = {kChannelStride +
-                                       static_cast<std::uint64_t>(self_)};
+                                       static_cast<std::uint64_t>(self)};
       send_on_every_link(ctx, kTagB, payload, /*channel=*/1);
-      done_ = true;
+      done_[static_cast<size_t>(self)] = 1;
     }
   }
 
-  bool quiescent() const override { return done_; }
+  bool quiescent(VertexId v) const override {
+    return done_[static_cast<size_t>(v)] != 0;
+  }
 
  private:
   static void send_on_every_link(NodeContext& ctx, std::uint32_t tag,
@@ -82,9 +84,8 @@ class TwoChannelProgram final : public NodeProgram {
       ctx.send_words_on_link(static_cast<int>(li), tag, payload, channel);
   }
 
-  VertexId self_;
+  std::vector<std::uint8_t> done_;
   std::vector<Seen>& log_;
-  bool done_ = false;
 };
 
 TEST(ChannelIsolation, TaggedPayloadsNeverCrossChannels) {
@@ -94,13 +95,10 @@ TEST(ChannelIsolation, TaggedPayloadsNeverCrossChannels) {
   std::vector<Seen> log;
 
   Network net(g);
-  std::vector<std::unique_ptr<NodeProgram>> programs;
-  for (VertexId v = 0; v < g.num_vertices(); ++v)
-    programs.push_back(std::make_unique<TwoChannelProgram>(v, log));
+  TwoChannelProgram program(g.num_vertices(), log);
   SchedulerOptions options;
   options.channels = 2;
-  Scheduler scheduler(net, std::move(programs), options);
-  const congest::CostStats cost = scheduler.run();
+  const congest::CostStats cost = Scheduler(net, program, options).run();
 
   // Every round's sends reach both endpoints of every edge, once per round.
   ASSERT_EQ(log.size(), 4 * m);

@@ -3,9 +3,9 @@
 // on the rounded graph, then every reached vertex takes, among its tight
 // neighbors (dist[u] + w(u, v) == dist[v]), the smallest (parent, edge)
 // pair — the canonical rule offer_g_edge converges to. Every kernel mode
-// (cold, warm start, reliable under faults, reordered inboxes, any thread
-// count, wave slices) must reproduce these tables bit for bit, so the tests
-// compare each mode with the oracle rather than with another mode.
+// (cold, warm start, reordered inboxes, any thread count, wave slices) must
+// reproduce these tables bit for bit, so the tests compare each mode with
+// the oracle rather than with another mode.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -25,14 +25,14 @@ using SourceTables = std::vector<std::vector<BoundedSourceEntry>>;
 
 // Tables of the bounded exploration of `sources` to `radius` over `h` (the
 // substrate's rounded graph), sorted by source at every vertex.
-inline BoundedMultiSourceResult oracle_explore(
-    const WeightedGraph& h, std::span<const VertexId> sources, Weight radius) {
+inline SourceTables oracle_explore(const WeightedGraph& h,
+                                   std::span<const VertexId> sources,
+                                   Weight radius) {
   const int n = h.num_vertices();
   std::vector<VertexId> order(sources.begin(), sources.end());
   std::sort(order.begin(), order.end());
   order.erase(std::unique(order.begin(), order.end()), order.end());
-  BoundedMultiSourceResult result;
-  result.table.resize(static_cast<size_t>(n));
+  SourceTables table(static_cast<size_t>(n));
   DijkstraWorkspace ws;
   for (const VertexId s : order) {
     ws.search(h, std::span<const VertexId>(&s, 1), radius);
@@ -55,13 +55,34 @@ inline BoundedMultiSourceResult oracle_explore(
           }
         }
       }
-      result.table[static_cast<size_t>(v)].push_back(e);
+      table[static_cast<size_t>(v)].push_back(e);
     }
   }
-  for (const auto& t : result.table)
-    result.max_sources_per_vertex =
-        std::max(result.max_sources_per_vertex, t.size());
-  return result;
+  return table;
+}
+
+// A cold exploration on the kernel: one one-scale wave from an empty state.
+// Its tables are state.table[0].
+inline WaveExploreResult explore_cold(const RoundedSubstrate& substrate,
+                                      std::span<const VertexId> sources,
+                                      Weight radius,
+                                      congest::SchedulerOptions sched = {}) {
+  const WaveScale scale{sources, radius};
+  return bounded_multi_source_paths_wave(
+      substrate, std::span<const WaveScale>(&scale, 1), WaveExploreState{},
+      sched);
+}
+
+// The G-edges of the source → target path by the tables' parent records,
+// in source-to-target order, walked by collect_path_edges with nothing
+// memoized; empty if the source's ball does not reach target.
+inline std::vector<EdgeId> path_edges(const SourceTables& table,
+                                      VertexId target, VertexId source) {
+  std::vector<std::uint32_t> stamp(table.size(), 0);
+  std::vector<EdgeId> path;
+  if (!collect_path_edges(table, target, source, stamp, 1, path)) return {};
+  std::reverse(path.begin(), path.end());
+  return path;
 }
 
 // Counts the entries where `got` differs from `want` in any field (source,
@@ -114,15 +135,12 @@ inline void expect_tables_match(const SourceTables& got,
       << context << ", first mismatch at " << first;
 }
 
-// Kernel result against the oracle run on the same rounded graph.
-inline void expect_matches_oracle(const BoundedMultiSourceResult& got,
+// Kernel tables against the oracle run on the same rounded graph.
+inline void expect_matches_oracle(const SourceTables& got,
                                   const WeightedGraph& h,
                                   std::span<const VertexId> sources,
                                   Weight radius, const std::string& context) {
-  const BoundedMultiSourceResult want = oracle_explore(h, sources, radius);
-  expect_tables_match(got.table, want.table, context);
-  EXPECT_EQ(got.max_sources_per_vertex, want.max_sources_per_vertex)
-      << context;
+  expect_tables_match(got, oracle_explore(h, sources, radius), context);
 }
 
 // One scale's table read back from a wave state: the records of `sources`
@@ -161,7 +179,7 @@ inline void expect_wave_matches_oracle(const WaveExploreState& state,
     const WaveScale& sc = scales[i];
     expect_tables_match(
         slice_wave(state, sc.sources, sc.radius, h.num_vertices()),
-        oracle_explore(h, sc.sources, sc.radius).table,
+        oracle_explore(h, sc.sources, sc.radius),
         context + " scale " + std::to_string(i));
   }
 }

@@ -22,8 +22,10 @@ namespace lightnet {
 namespace {
 
 using testing::NamedGraph;
+using testing::SourceTables;
 using testing::expect_matches_oracle;
 using testing::expect_wave_matches_oracle;
+using testing::explore_cold;
 using testing::oracle_explore;
 
 // The er/geo/ring/grid scenario families at n=256.
@@ -82,12 +84,11 @@ TEST(ExplorationOracle, OracleRealizesBoundedDijkstraDistances) {
     const WeightedGraph& h = substrate.rounded;
     const std::vector<VertexId> sources = every_kth(h.num_vertices(), 4);
     const Weight radius = probe_radius(h);
-    const BoundedMultiSourceResult oracle =
-        oracle_explore(h, sources, radius);
+    const SourceTables oracle = oracle_explore(h, sources, radius);
     for (VertexId s : sources) {
       const ShortestPathTree ref = dijkstra_bounded(h, s, radius);
       for (VertexId v = 0; v < h.num_vertices(); ++v) {
-        const BoundedSourceEntry* e = find_source_entry(oracle.table, v, s);
+        const BoundedSourceEntry* e = find_source_entry(oracle, v, s);
         if (ref.dist[static_cast<size_t>(v)] == kInfiniteDistance) {
           EXPECT_EQ(e, nullptr) << name << " s=" << s << " v=" << v;
           continue;
@@ -97,7 +98,7 @@ TEST(ExplorationOracle, OracleRealizesBoundedDijkstraDistances) {
         // The parent chain is tight: summed from the source it gives the
         // distance exactly.
         Weight sum = 0.0;
-        for (EdgeId id : extract_path(oracle, v, s))
+        for (EdgeId id : testing::path_edges(oracle, v, s))
           sum += h.edge(id).w;
         EXPECT_EQ(sum, e->dist) << name << " s=" << s << " v=" << v;
       }
@@ -113,7 +114,7 @@ TEST(ExplorationOracle, ColdKernelMatchesOracleOnZoo) {
       const std::vector<VertexId> sources = every_kth(h.num_vertices(), 5);
       const Weight radius = probe_radius(h);
       expect_matches_oracle(
-          bounded_multi_source_paths(substrate, sources, radius), h, sources,
+          explore_cold(substrate, sources, radius).state.table[0], h, sources,
           radius, name + " eps=" + std::to_string(eps));
     }
   }
@@ -127,7 +128,7 @@ TEST(ExplorationOracle, ReorderedAndThreadedKernelMatchesOracle) {
     const Weight radius = probe_radius(h);
     for (const Mode& mode : reordering_modes())
       expect_matches_oracle(
-          bounded_multi_source_paths(substrate, sources, radius, mode.sched),
+          explore_cold(substrate, sources, radius, mode.sched).state.table[0],
           h, sources, radius, name + "/" + mode.name + "/cold");
   }
 }

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <string>
 
 #include "graph/generators.h"
 #include "support/rng.h"
@@ -120,6 +122,42 @@ TEST(LeLists, StrictCongestThroughout) {
   const LeListsResult r = compute_le_lists(g, active, rank, 0.0);
   EXPECT_EQ(r.cost.max_edge_load, 1u);
   EXPECT_GT(r.cost.rounds, 0u);
+}
+
+// One program object serves every lane: at threads 2, 4 and 8 the lists
+// (entries compared exactly) and the model cost equal threads=1.
+TEST(LeLists, ThreadCountsMatchSerial) {
+  auto graphs = testing::small_graph_zoo();
+  graphs.push_back({"grid16x16", grid(16, 16, /*perturb=*/true, 41)});
+  graphs.push_back(
+      {"er300", erdos_renyi(300, 0.03, WeightLaw::kUniform, 10.0, 42)});
+  for (const auto& [name, g] : graphs) {
+    const int n = g.num_vertices();
+    const auto rank = random_ranks(n, 15);
+    std::vector<VertexId> active;
+    for (VertexId v = 0; v < n; v += 2) active.push_back(v);
+    const LeListsResult serial = compute_le_lists(g, active, rank, 0.1);
+    for (int threads : {2, 4, 8}) {
+      congest::SchedulerOptions options;
+      options.threads = threads;
+      const LeListsResult par =
+          compute_le_lists(g, active, rank, 0.1, options);
+      const std::string where = name + " threads=" + std::to_string(threads);
+      testing::expect_same_model_cost(serial.cost, par.cost, where);
+      EXPECT_EQ(par.max_list_size, serial.max_list_size) << where;
+      ASSERT_EQ(par.lists.size(), serial.lists.size()) << where;
+      for (size_t v = 0; v < par.lists.size(); ++v) {
+        const auto& a = par.lists[v];
+        const auto& b = serial.lists[v];
+        EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                               [](const LeListEntry& x, const LeListEntry& y) {
+                                 return x.source == y.source &&
+                                        x.dist == y.dist && x.rank == y.rank;
+                               }))
+            << where << " vertex " << v;
+      }
+    }
+  }
 }
 
 TEST(LeLists, GlobalMinimumRankReachesEveryone) {

@@ -9,14 +9,12 @@
 // order, and recounts every cost from the round's sends: messages, words,
 // the per-round load of each directed slot in ceil(w / kMaxWords) units,
 // and the same per channel. A vertex is due when it has mail, stayed
-// non-quiescent after its last invocation, rides idle rounds, restarted
-// this round, or it is round 0 (every round under full_sweep), and it is
-// not down.
+// non-quiescent after its last invocation, restarted this round, or it is
+// round 0 (every round under full_sweep), and it is not down.
 //
 // Programs are a Model with
-//   bool wants_idle_rounds(VertexId v) const;
 //   bool on_round(VertexId v, int round, std::span<const OracleMessage>,
-//                 OracleOutbox& out);  // returns quiescent()
+//                 OracleOutbox& out);  // returns quiescent(v)
 #pragma once
 
 #include <algorithm>
@@ -168,7 +166,7 @@ OracleRun run_round_oracle(const WeightedGraph& g, Model& model,
       const size_t vi = static_cast<size_t>(v);
       const bool due = round == 0 || options.full_sweep ||
                        !inbox[vi].empty() || awake[vi] != 0 ||
-                       model.wants_idle_rounds(v) || restart_at[vi] == round;
+                       restart_at[vi] == round;
       awake[vi] = 0;
       if (!due || down[vi]) continue;
       ++invoked;

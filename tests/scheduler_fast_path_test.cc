@@ -1,9 +1,8 @@
 // Tests for the scheduler's hot paths: active-set rounds vs. the full-sweep
-// reference, the O(1) send_on_link resolution, the wants_idle_rounds escape
-// hatch, and the flat-arena reuse guarantee.
+// reference, the O(1) send_on_link resolution, and the flat-arena reuse
+// guarantee.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -16,22 +15,13 @@
 namespace lightnet::congest {
 namespace {
 
+using lightnet::testing::expect_same_model_cost;
 using lightnet::testing::small_graph_zoo;
 
 SchedulerOptions full_sweep_options() {
   SchedulerOptions options;
   options.full_sweep = true;
   return options;
-}
-
-// The model-level stats (not the simulator instrumentation) must be
-// bit-identical between scheduling modes.
-void expect_same_model_cost(const CostStats& a, const CostStats& b,
-                            const std::string& context) {
-  EXPECT_EQ(a.rounds, b.rounds) << context;
-  EXPECT_EQ(a.messages, b.messages) << context;
-  EXPECT_EQ(a.words, b.words) << context;
-  EXPECT_EQ(a.max_edge_load, b.max_edge_load) << context;
 }
 
 TEST(ActiveSetScheduling, BfsMatchesFullSweepReference) {
@@ -61,39 +51,30 @@ TEST(ActiveSetScheduling, BellmanFordMatchesFullSweepReference) {
 // Sends two messages on the same link in one round via the fast path.
 class FastFloodProgram final : public NodeProgram {
  public:
-  explicit FastFloodProgram(VertexId self) : self_(self) {}
   void on_round(NodeContext& ctx, std::span<const Delivery>) override {
-    if (ctx.round() == 0 && self_ == 0 && !ctx.links().empty()) {
+    if (ctx.round() == 0 && ctx.self() == 0 && !ctx.links().empty()) {
       ctx.send_on_link(0, Message(1, {1}));
       ctx.send_on_link(0, Message(1, {2}));
     }
   }
-  bool quiescent() const override { return true; }
-
- private:
-  VertexId self_;
+  bool quiescent(VertexId) const override { return true; }
 };
 
 TEST(FastSendPath, StrictModeStillDetectsCongestion) {
   const WeightedGraph g = path_graph(4, WeightLaw::kUnit, 1.0, 1);
   Network net(g);
-  std::vector<std::unique_ptr<NodeProgram>> programs;
-  for (VertexId v = 0; v < 4; ++v)
-    programs.push_back(std::make_unique<FastFloodProgram>(v));
-  Scheduler sched(net, std::move(programs));
+  FastFloodProgram program;
+  Scheduler sched(net, program);
   EXPECT_THROW(sched.run(), std::logic_error);
 }
 
 TEST(FastSendPath, RelaxedModeCountsLoadOnFastSends) {
   const WeightedGraph g = path_graph(4, WeightLaw::kUnit, 1.0, 1);
   Network net(g);
-  std::vector<std::unique_ptr<NodeProgram>> programs;
-  for (VertexId v = 0; v < 4; ++v)
-    programs.push_back(std::make_unique<FastFloodProgram>(v));
+  FastFloodProgram program;
   SchedulerOptions options;
   options.strict_congest = false;
-  Scheduler sched(net, std::move(programs), options);
-  EXPECT_EQ(sched.run().max_edge_load, 2u);
+  EXPECT_EQ(Scheduler(net, program, options).run().max_edge_load, 2u);
 }
 
 // Batched multi-word sends: node 0 ships a 5-word payload (arena-resident)
@@ -101,10 +82,10 @@ TEST(FastSendPath, RelaxedModeCountsLoadOnFastSends) {
 // receiver must read both payloads back through NodeContext::payload.
 class BatchedSendProgram final : public NodeProgram {
  public:
-  BatchedSendProgram(VertexId self, std::vector<std::uint64_t>& received)
-      : self_(self), received_(received) {}
+  explicit BatchedSendProgram(std::vector<std::uint64_t>& received)
+      : received_(received) {}
   void on_round(NodeContext& ctx, std::span<const Delivery> inbox) override {
-    if (ctx.round() == 0 && self_ == 0) {
+    if (ctx.round() == 0 && ctx.self() == 0) {
       const std::uint64_t wide[] = {10, 11, 12, 13, 14};
       ctx.send_words_on_link(0, 7, wide);
       const std::uint64_t narrow[] = {20, 21};
@@ -113,10 +94,9 @@ class BatchedSendProgram final : public NodeProgram {
     for (const Delivery& d : inbox)
       for (std::uint64_t w : ctx.payload(d.msg)) received_.push_back(w);
   }
-  bool quiescent() const override { return true; }
+  bool quiescent(VertexId) const override { return true; }
 
  private:
-  VertexId self_;
   std::vector<std::uint64_t>& received_;
 };
 
@@ -124,13 +104,10 @@ TEST(FastSendPath, BatchedPayloadsRoundTripWithHonestAccounting) {
   const WeightedGraph g = path_graph(3, WeightLaw::kUnit, 1.0, 1);
   Network net(g);
   std::vector<std::uint64_t> received;
-  std::vector<std::unique_ptr<NodeProgram>> programs;
-  for (VertexId v = 0; v < 3; ++v)
-    programs.push_back(std::make_unique<BatchedSendProgram>(v, received));
+  BatchedSendProgram program(received);
   SchedulerOptions options;
   options.strict_congest = false;  // the 5-word batch exceeds one message
-  Scheduler sched(net, std::move(programs), options);
-  const CostStats cost = sched.run();
+  const CostStats cost = Scheduler(net, program, options).run();
   // Vertex 1 (0's only neighbor) gets both payloads, wide one first.
   EXPECT_EQ(received,
             (std::vector<std::uint64_t>{10, 11, 12, 13, 14, 20, 21}));
@@ -145,11 +122,10 @@ TEST(FastSendPath, BatchedPayloadsRoundTripWithHonestAccounting) {
 // not rejected.
 class HugeBatchProgram final : public NodeProgram {
  public:
-  HugeBatchProgram(VertexId self, size_t total_words,
-                   std::vector<std::uint64_t>& received)
-      : self_(self), total_words_(total_words), received_(received) {}
+  HugeBatchProgram(size_t total_words, std::vector<std::uint64_t>& received)
+      : total_words_(total_words), received_(received) {}
   void on_round(NodeContext& ctx, std::span<const Delivery> inbox) override {
-    if (ctx.round() == 0 && self_ == 0) {
+    if (ctx.round() == 0 && ctx.self() == 0) {
       std::vector<std::uint64_t> words(total_words_);
       for (size_t i = 0; i < words.size(); ++i) words[i] = i;
       ctx.send_words_on_link(0, 9, words);
@@ -157,10 +133,9 @@ class HugeBatchProgram final : public NodeProgram {
     for (const Delivery& d : inbox)
       for (std::uint64_t w : ctx.payload(d.msg)) received_.push_back(w);
   }
-  bool quiescent() const override { return true; }
+  bool quiescent(VertexId) const override { return true; }
 
  private:
-  VertexId self_;
   size_t total_words_;
   std::vector<std::uint64_t>& received_;
 };
@@ -170,13 +145,10 @@ TEST(FastSendPath, OversizedBatchIsChunkedInOrder) {
   const WeightedGraph g = path_graph(2, WeightLaw::kUnit, 1.0, 1);
   Network net(g);
   std::vector<std::uint64_t> received;
-  std::vector<std::unique_ptr<NodeProgram>> programs;
-  for (VertexId v = 0; v < 2; ++v)
-    programs.push_back(std::make_unique<HugeBatchProgram>(v, total, received));
+  HugeBatchProgram program(total, received);
   SchedulerOptions options;
   options.strict_congest = false;
-  Scheduler sched(net, std::move(programs), options);
-  const CostStats cost = sched.run();
+  const CostStats cost = Scheduler(net, program, options).run();
   ASSERT_EQ(received.size(), total);
   for (size_t i = 0; i < total; ++i) ASSERT_EQ(received[i], i);
   EXPECT_EQ(cost.messages, 2u);  // one per chunk
@@ -187,34 +159,26 @@ TEST(FastSendPath, StrictModeRejectsOversizedBatch) {
   const WeightedGraph g = path_graph(3, WeightLaw::kUnit, 1.0, 1);
   Network net(g);
   std::vector<std::uint64_t> received;
-  std::vector<std::unique_ptr<NodeProgram>> programs;
-  for (VertexId v = 0; v < 3; ++v)
-    programs.push_back(std::make_unique<BatchedSendProgram>(v, received));
-  Scheduler sched(net, std::move(programs));  // strict_congest default
+  BatchedSendProgram program(received);
+  Scheduler sched(net, program);  // strict_congest default
   EXPECT_THROW(sched.run(), std::logic_error);
 }
 
 // Out-of-range link indices are a program bug and must be caught.
 class BadLinkProgram final : public NodeProgram {
  public:
-  explicit BadLinkProgram(VertexId self) : self_(self) {}
   void on_round(NodeContext& ctx, std::span<const Delivery>) override {
-    if (ctx.round() == 0 && self_ == 0)
+    if (ctx.round() == 0 && ctx.self() == 0)
       ctx.send_on_link(static_cast<int>(ctx.links().size()), Message(1, {1}));
   }
-  bool quiescent() const override { return true; }
-
- private:
-  VertexId self_;
+  bool quiescent(VertexId) const override { return true; }
 };
 
 TEST(FastSendPath, RejectsOutOfRangeLinkIndex) {
   const WeightedGraph g = path_graph(3, WeightLaw::kUnit, 1.0, 1);
   Network net(g);
-  std::vector<std::unique_ptr<NodeProgram>> programs;
-  for (VertexId v = 0; v < 3; ++v)
-    programs.push_back(std::make_unique<BadLinkProgram>(v));
-  Scheduler sched(net, std::move(programs));
+  BadLinkProgram program;
+  Scheduler sched(net, program);
   try {
     sched.run();
     FAIL() << "an out-of-range link index must abort the run";
@@ -246,71 +210,6 @@ TEST(NetworkLinkIndex, ResolvesEveryAdjacencyAndRejectsNonEdges) {
       EXPECT_EQ(net.link_index(u, u), -1) << name;
     }
   }
-}
-
-// Clock-driven monitor: always quiescent (it never blocks termination), but
-// it must observe every round to fire its alarm — only possible through the
-// wants_idle_rounds escape hatch, since it receives no mail.
-class AlarmProgram final : public NodeProgram {
- public:
-  AlarmProgram(VertexId self, int fire_round, std::vector<int>& received,
-               std::vector<int>& invocations)
-      : self_(self), fire_round_(fire_round), received_(received),
-        invocations_(invocations) {}
-
-  void on_round(NodeContext& ctx, std::span<const Delivery> inbox) override {
-    ++invocations_[static_cast<size_t>(self_)];
-    received_[static_cast<size_t>(self_)] += static_cast<int>(inbox.size());
-    if (self_ == 0 && ctx.round() == fire_round_ && !ctx.links().empty())
-      ctx.send_on_link(0, Message(7, {42}));
-  }
-  bool quiescent() const override { return true; }
-  bool wants_idle_rounds() const override { return self_ == 0; }
-
- private:
-  VertexId self_;
-  int fire_round_;
-  std::vector<int>& received_;
-  std::vector<int>& invocations_;
-};
-
-// Keeps the run alive (non-quiescent) until a fixed round without sending.
-class DriverProgram final : public NodeProgram {
- public:
-  explicit DriverProgram(int last_round) : last_round_(last_round) {}
-  void on_round(NodeContext& ctx, std::span<const Delivery>) override {
-    round_ = ctx.round();
-  }
-  bool quiescent() const override { return round_ >= last_round_; }
-  bool wants_idle_rounds() const override { return false; }
-
- private:
-  int last_round_;
-  int round_ = -1;
-};
-
-TEST(ActiveSetScheduling, IdleRoundsEscapeHatchKeepsClockProgramsAlive) {
-  const WeightedGraph g = path_graph(3, WeightLaw::kUnit, 1.0, 1);
-  Network net(g);
-  std::vector<int> received(3, 0);
-  std::vector<int> invocations(3, 0);
-  std::vector<std::unique_ptr<NodeProgram>> programs;
-  programs.push_back(std::make_unique<AlarmProgram>(0, 3, received,
-                                                    invocations));
-  programs.push_back(std::make_unique<AlarmProgram>(1, 3, received,
-                                                    invocations));
-  programs.push_back(std::make_unique<DriverProgram>(5));
-  Scheduler sched(net, std::move(programs));
-  const CostStats cost = sched.run();
-  // The driver keeps the run alive through round 5; node 0, though
-  // quiescent and mail-free, was invoked every round via the escape hatch,
-  // so its round-3 alarm fired and reached node 1.
-  EXPECT_EQ(cost.rounds, 6u);
-  EXPECT_EQ(invocations[0], 6);
-  EXPECT_EQ(received[1], 1);
-  EXPECT_EQ(cost.messages, 1u);
-  // Node 1 has no escape hatch: invoked at round 0 and on mail delivery.
-  EXPECT_EQ(invocations[1], 2);
 }
 
 TEST(MessageArena, SteadyStateRunsWithoutPerRoundAllocations) {

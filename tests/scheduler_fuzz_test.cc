@@ -10,12 +10,11 @@
 // replays the decision through NodeContext or the oracle's outbox. The
 // programs mix send, send_on_link and send_words_on_link; inline,
 // arena-resident and chunked payloads (wider than kBatchChunkWords);
-// several channels; idle riders; and late wake-ups (vertices that stay
-// non-quiescent for many rounds before they speak).
+// several channels; late wake-ups (vertices that stay non-quiescent for
+// many rounds before they speak); and restarts in silent rounds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -62,10 +61,6 @@ struct FuzzStep {
   bool quiescent = true;
 };
 
-bool idle_rider(const FuzzSpec& spec, VertexId v) {
-  return mix(spec.seed ^ 0x1d1e, static_cast<std::uint64_t>(v)) % 6 == 0;
-}
-
 // The last round a vertex stays non-quiescent through (it speaks then: a
 // late wake-up), or -1 for the three quarters of vertices that never do.
 int awake_until(const FuzzSpec& spec, VertexId v) {
@@ -99,7 +94,7 @@ FuzzStep fuzz_step(const FuzzSpec& spec, int round, VertexId v,
   else if (inbox_size > 0)
     speak = h % 4 != 0;
   else
-    speak = h % 5 == 0;  // awake vertices and idle riders without mail
+    speak = h % 5 == 0;  // awake or restarted vertices without mail
   const size_t deg = links.size();
   if (speak) {
     size_t count = 1 + (h >> 8) % 3;
@@ -160,17 +155,18 @@ using Logs = std::vector<std::vector<Invocation>>;
 // Scheduler side: replays fuzz_step's decision through NodeContext.
 class FuzzProgram final : public NodeProgram {
  public:
-  FuzzProgram(const FuzzSpec& spec, VertexId self, std::vector<Invocation>& log)
-      : spec_(spec), self_(self), log_(log) {}
+  FuzzProgram(const FuzzSpec& spec, Logs& logs)
+      : spec_(spec), logs_(logs), quiescent_(logs.size(), 1) {}
 
   void on_round(NodeContext& ctx, std::span<const Delivery> inbox) override {
+    const size_t v = static_cast<size_t>(ctx.self());
     std::uint64_t digest = 0;
     for (const Delivery& d : inbox)
       digest = mix(digest, digest_delivery(d.from, d.edge, d.msg.tag,
                                            d.msg.channel, ctx.payload(d.msg)));
-    log_.push_back({ctx.round(), inbox.size(), digest});
-    const FuzzStep step =
-        fuzz_step(spec_, ctx.round(), self_, ctx.links(), digest, inbox.size());
+    logs_[v].push_back({ctx.round(), inbox.size(), digest});
+    const FuzzStep step = fuzz_step(spec_, ctx.round(), ctx.self(),
+                                    ctx.links(), digest, inbox.size());
     for (const SendOp& op : step.sends) {
       if (op.api == Api::kSendWords) {
         ctx.send_words_on_link(op.link, op.tag, op.words, op.channel);
@@ -185,24 +181,22 @@ class FuzzProgram final : public NodeProgram {
       else
         ctx.send_on_link(op.link, msg);
     }
-    quiescent_ = step.quiescent;
+    quiescent_[v] = step.quiescent ? 1 : 0;
   }
-  bool quiescent() const override { return quiescent_; }
-  bool wants_idle_rounds() const override { return idle_rider(spec_, self_); }
+  bool quiescent(VertexId v) const override {
+    return quiescent_[static_cast<size_t>(v)] != 0;
+  }
 
  private:
   const FuzzSpec& spec_;
-  VertexId self_;
-  std::vector<Invocation>& log_;
-  bool quiescent_ = true;
+  Logs& logs_;
+  std::vector<std::uint8_t> quiescent_;
 };
 
 // Oracle side: the same decisions through the oracle's outbox.
 struct FuzzModel {
   const FuzzSpec& spec;
   Logs logs;
-
-  bool wants_idle_rounds(VertexId v) const { return idle_rider(spec, v); }
 
   bool on_round(VertexId v, int round, std::span<const OracleMessage> inbox,
                 OracleOutbox& out) {
@@ -223,17 +217,13 @@ struct FuzzModel {
   }
 };
 
-// Runs the fuzz programs on the scheduler; each vertex logs into logs[v].
+// Runs the fuzz program on the scheduler; each vertex logs into logs[v].
 CostStats run_scheduler(const WeightedGraph& g, const FuzzSpec& spec,
                         const SchedulerOptions& options, Logs& logs) {
   logs.assign(static_cast<size_t>(g.num_vertices()), {});
   Network net(g);
-  std::vector<std::unique_ptr<NodeProgram>> programs;
-  for (VertexId v = 0; v < g.num_vertices(); ++v)
-    programs.push_back(
-        std::make_unique<FuzzProgram>(spec, v, logs[static_cast<size_t>(v)]));
-  Scheduler sched(net, std::move(programs), options);
-  return sched.run();
+  FuzzProgram program(spec, logs);
+  return Scheduler(net, program, options).run();
 }
 
 // "" when equal, else the first difference.
@@ -397,6 +387,38 @@ TEST(SchedulerFuzz, FullSweepMatchesRoundOracle) {
       options.fault = plan.fault;
       check_against_oracle(g, spec, options, kPooledThreads[config++ % 3],
                            name + " full_sweep plan=" + plan.name);
+    }
+  }
+}
+
+// Restarts are the only wake-ups the scheduler makes outside the round's
+// jobs on these paths. Here every one lands in a silent round: crashes
+// come in rounds 0-7 and restarts 24 rounds later, long after the last
+// send (a late wake-up speaks by round horizon + 5 = 11). On graphs several
+// bitmap words wide, no other mark is then near a restarted vertex, so
+// only the restart's own mark can widen the scan window to its word.
+TEST(SchedulerFuzz, RestartsInSilentRoundsMatchRoundOracle) {
+  FaultPlan late;
+  late.seed = 12;
+  late.crash = 0.2;
+  late.crash_horizon = 8;
+  late.restart_after = 24;
+  int config = 0;
+  for (const auto& [name, g] : fuzz_graphs()) {
+    if (g.num_vertices() <= 64) continue;  // one frontier word
+    for (bool strict : {true, false}) {
+      FuzzSpec spec;
+      spec.seed =
+          mix(g.num_vertices(), 31) ^ static_cast<std::uint64_t>(strict);
+      spec.strict = strict;
+      spec.channels = strict ? 1 : 2;
+      SchedulerOptions options;
+      options.strict_congest = strict;
+      options.channels = spec.channels;
+      options.fault = late;
+      check_against_oracle(g, spec, options, kPooledThreads[config++ % 3],
+                           name + " late restarts" +
+                               (strict ? " strict" : " relaxed"));
     }
   }
 }

@@ -10,7 +10,6 @@
 // passing if the internals are rearranged.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -26,6 +25,7 @@
 namespace lightnet::congest {
 namespace {
 
+using lightnet::testing::expect_same_model_cost;
 using lightnet::testing::small_graph_zoo;
 
 SchedulerOptions with_threads(int t) {
@@ -34,32 +34,11 @@ SchedulerOptions with_threads(int t) {
   return options;
 }
 
-void expect_same_model_cost(const CostStats& a, const CostStats& b,
-                            const std::string& context) {
-  EXPECT_EQ(a.rounds, b.rounds) << context;
-  EXPECT_EQ(a.messages, b.messages) << context;
-  EXPECT_EQ(a.words, b.words) << context;
-  EXPECT_EQ(a.max_edge_load, b.max_edge_load) << context;
-  ASSERT_EQ(a.per_channel.size(), b.per_channel.size()) << context;
-  for (size_t ch = 0; ch < a.per_channel.size(); ++ch) {
-    const std::string where = context + " channel " + std::to_string(ch);
-    EXPECT_EQ(a.per_channel[ch].messages, b.per_channel[ch].messages) << where;
-    EXPECT_EQ(a.per_channel[ch].words, b.per_channel[ch].words) << where;
-    EXPECT_EQ(a.per_channel[ch].max_edge_load, b.per_channel[ch].max_edge_load)
-        << where;
-  }
-}
-
-// Runs one `Program` per vertex of `g` under `options` and returns the cost.
-template <typename Program>
-CostStats run_programs(const WeightedGraph& g,
-                       const SchedulerOptions& options) {
+// Runs `program` at every vertex of `g` under `options`; returns the cost.
+CostStats run_program(const WeightedGraph& g, NodeProgram& program,
+                      const SchedulerOptions& options) {
   Network net(g);
-  std::vector<std::unique_ptr<NodeProgram>> programs;
-  for (VertexId v = 0; v < g.num_vertices(); ++v)
-    programs.push_back(std::make_unique<Program>(v));
-  Scheduler sched(net, std::move(programs), options);
-  return sched.run();
+  return Scheduler(net, program, options).run();
 }
 
 // Shard-merge ordering: the per-lane buckets are drained in lane order and
@@ -154,16 +133,18 @@ TEST(ParallelScheduler, BatchedPayloadsBitIdenticalAcrossThreadCounts) {
   const RoundedSubstrate substrate(
       erdos_renyi(48, 0.15, WeightLaw::kUniform, 30.0, 23), 0.25);
   const std::vector<VertexId> sources = {0, 7, 31};
-  const auto serial = bounded_multi_source_paths(substrate, sources, 60.0);
-  lightnet::testing::expect_matches_oracle(serial, substrate.rounded, sources,
-                                           60.0, "threads=1");
+  using lightnet::testing::explore_cold;
+  const auto serial = explore_cold(substrate, sources, 60.0);
+  lightnet::testing::expect_matches_oracle(
+      serial.state.table[0], substrate.rounded, sources, 60.0, "threads=1");
   for (int threads : {2, 4, 8}) {
-    const auto par = bounded_multi_source_paths(substrate, sources, 60.0,
-                                                with_threads(threads));
+    const auto par =
+        explore_cold(substrate, sources, 60.0, with_threads(threads));
     const std::string context = "threads=" + std::to_string(threads);
     expect_same_model_cost(serial.cost, par.cost, context);
-    lightnet::testing::expect_matches_oracle(par, substrate.rounded, sources,
-                                             60.0, context);
+    EXPECT_EQ(serial.shell_announcements, par.shell_announcements) << context;
+    lightnet::testing::expect_matches_oracle(
+        par.state.table[0], substrate.rounded, sources, 60.0, context);
   }
 }
 
@@ -211,64 +192,17 @@ TEST(ParallelScheduler, ReliableEntryPointClampsToSerial) {
   EXPECT_EQ(serial.cost.retransmitted, reliable.cost.retransmitted);
 }
 
-// A program that asks for idle rounds: counts its invocations and stays
-// non-quiescent for the first few rounds so the run lasts long enough to
-// observe idle invocations with no mail.
-class IdleTickerProgram final : public NodeProgram {
- public:
-  IdleTickerProgram(VertexId self, std::vector<int>& ticks)
-      : self_(self), ticks_(ticks) {}
-  void on_round(NodeContext& ctx, std::span<const Delivery>) override {
-    ++ticks_[static_cast<size_t>(self_)];
-    last_round_ = ctx.round();
-  }
-  bool quiescent() const override { return last_round_ >= 5; }
-  bool wants_idle_rounds() const override { return true; }
-
- private:
-  VertexId self_;
-  std::vector<int>& ticks_;
-  int last_round_ = -1;
-};
-
-// Idle riders must be invoked every round in parallel mode too, and the
-// round count must match the serial run.
-TEST(ParallelScheduler, IdleRidersTickEveryRoundUnderThreads) {
-  const WeightedGraph g = path_graph(16, WeightLaw::kUnit, 1.0, 4);
-  auto run = [&](int threads) {
-    Network net(g);
-    std::vector<int> ticks(16, 0);
-    std::vector<std::unique_ptr<NodeProgram>> programs;
-    for (VertexId v = 0; v < 16; ++v)
-      programs.push_back(std::make_unique<IdleTickerProgram>(v, ticks));
-    Scheduler sched(net, std::move(programs), with_threads(threads));
-    const CostStats cost = sched.run();
-    return std::pair<std::vector<int>, std::uint64_t>(ticks, cost.rounds);
-  };
-  const auto [serial_ticks, serial_rounds] = run(1);
-  for (int v = 0; v < 16; ++v)
-    EXPECT_EQ(serial_ticks[static_cast<size_t>(v)],
-              static_cast<int>(serial_rounds))
-        << v;
-  for (int threads : {2, 8}) {
-    const auto [par_ticks, par_rounds] = run(threads);
-    EXPECT_EQ(par_rounds, serial_rounds) << threads;
-    EXPECT_EQ(par_ticks, serial_ticks) << threads;
-  }
-}
-
 // Never quiescent, and round r puts r + 1 messages on the first link: the
 // heaviest window is the last round's, whose sends a max_rounds cap leaves
 // undelivered, so only the end-of-run fold can account for it.
 class RampProgram final : public NodeProgram {
  public:
-  explicit RampProgram(VertexId) {}
   void on_round(NodeContext& ctx, std::span<const Delivery>) override {
     if (ctx.links().empty()) return;
     for (int i = 0; i <= ctx.round(); ++i)
       ctx.send_on_link(0, Message(1, {static_cast<std::uint64_t>(i)}));
   }
-  bool quiescent() const override { return false; }
+  bool quiescent(VertexId) const override { return false; }
 };
 
 TEST(ParallelScheduler, CappedRunFoldsItsLastWindow) {
@@ -276,13 +210,14 @@ TEST(ParallelScheduler, CappedRunFoldsItsLastWindow) {
   SchedulerOptions relaxed;
   relaxed.strict_congest = false;
   relaxed.max_rounds = 7;
-  const CostStats serial = run_programs<RampProgram>(g, relaxed);
+  RampProgram ramp;
+  const CostStats serial = run_program(g, ramp, relaxed);
   EXPECT_EQ(serial.max_edge_load, 7u);
   EXPECT_EQ(serial.rounds_capped, 1u);
   for (int threads : {2, 4, 8}) {
     SchedulerOptions options = relaxed;
     options.threads = threads;
-    const CostStats par = run_programs<RampProgram>(g, options);
+    const CostStats par = run_program(g, ramp, options);
     const std::string context = "threads=" + std::to_string(threads);
     expect_same_model_cost(serial, par, context);
     EXPECT_EQ(par.rounds_capped, 1u) << context;
@@ -297,18 +232,21 @@ constexpr int kChannels = 3;
 
 class ChannelMixProgram final : public NodeProgram {
  public:
-  explicit ChannelMixProgram(VertexId self) : self_(self) {}
+  explicit ChannelMixProgram(int n) : last_round_(static_cast<size_t>(n), -1) {}
   void on_round(NodeContext& ctx, std::span<const Delivery>) override {
-    round_ = ctx.round();
-    if (round_ >= 4) return;
+    const int round = ctx.round();
+    last_round_[static_cast<size_t>(ctx.self())] = round;
+    if (round >= 4) return;
     for (int i = 0; i < static_cast<int>(ctx.links().size()); ++i) {
-      const int mix = static_cast<int>(self_) + i;
-      send(ctx, i, (mix + round_) % kChannels);
-      if (mix % 2 == 0) send(ctx, i, (mix + round_ + 1) % kChannels);
-      if (mix % 5 == 0) send(ctx, i, (mix + round_) % kChannels);
+      const int mix = static_cast<int>(ctx.self()) + i;
+      send(ctx, i, (mix + round) % kChannels);
+      if (mix % 2 == 0) send(ctx, i, (mix + round + 1) % kChannels);
+      if (mix % 5 == 0) send(ctx, i, (mix + round) % kChannels);
     }
   }
-  bool quiescent() const override { return round_ >= 4; }
+  bool quiescent(VertexId v) const override {
+    return last_round_[static_cast<size_t>(v)] >= 4;
+  }
 
  private:
   static void send(NodeContext& ctx, int link, int channel) {
@@ -317,8 +255,7 @@ class ChannelMixProgram final : public NodeProgram {
                            static_cast<std::uint8_t>(channel));
   }
 
-  VertexId self_;
-  int round_ = -1;
+  std::vector<int> last_round_;  // per vertex: its latest round
 };
 
 TEST(ParallelScheduler, PerChannelCostsMatchAcrossThreadCounts) {
@@ -327,13 +264,15 @@ TEST(ParallelScheduler, PerChannelCostsMatchAcrossThreadCounts) {
   SchedulerOptions relaxed;
   relaxed.strict_congest = false;
   relaxed.channels = kChannels;
-  const CostStats serial = run_programs<ChannelMixProgram>(g, relaxed);
+  ChannelMixProgram serial_mix(g.num_vertices());
+  const CostStats serial = run_program(g, serial_mix, relaxed);
   ASSERT_EQ(serial.per_channel.size(), static_cast<size_t>(kChannels));
   EXPECT_EQ(serial.per_channel[2].max_edge_load, 4u);
   for (int threads : {2, 4, 8}) {
     SchedulerOptions options = relaxed;
     options.threads = threads;
-    expect_same_model_cost(serial, run_programs<ChannelMixProgram>(g, options),
+    ChannelMixProgram mix(g.num_vertices());
+    expect_same_model_cost(serial, run_program(g, mix, options),
                            "threads=" + std::to_string(threads));
   }
 }

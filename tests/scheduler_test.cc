@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <functional>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -18,93 +17,88 @@ constexpr std::uint32_t kTagPing = 99;
 // Sends `count` tokens from vertex 0 along a path, one hop per round.
 class RelayProgram final : public NodeProgram {
  public:
-  RelayProgram(VertexId self, int n, int count, std::vector<int>& received)
-      : self_(self), n_(n), count_(count), received_(received) {}
+  RelayProgram(int n, int count, std::vector<int>& received)
+      : n_(n), count_(count), received_(received) {}
 
   void on_round(NodeContext& ctx, std::span<const Delivery> inbox) override {
-    if (ctx.round() == 0 && self_ == 0) to_send_ = count_;
+    const VertexId self = ctx.self();
+    if (ctx.round() == 0 && self == 0) to_send_ = count_;
     for (const Delivery& d : inbox) {
-      ++received_[static_cast<size_t>(self_)];
-      if (self_ + 1 < n_) {
-        ctx.send(self_ + 1, d.msg);
+      ++received_[static_cast<size_t>(self)];
+      if (self + 1 < n_) {
+        ctx.send(self + 1, d.msg);
       }
     }
-    if (to_send_ > 0 && self_ == 0 && n_ > 1) {
+    if (to_send_ > 0 && self == 0 && n_ > 1) {
       ctx.send(1, Message(kTagPing, {static_cast<std::uint64_t>(to_send_)}));
       --to_send_;
     }
   }
 
-  bool quiescent() const override { return to_send_ == 0; }
+  bool quiescent(VertexId v) const override {
+    return v != 0 || to_send_ == 0;
+  }
 
  private:
-  VertexId self_;
   int n_;
   int count_;
   std::vector<int>& received_;
-  int to_send_ = 0;
+  int to_send_ = 0;  // vertex 0's state
 };
 
 // Wraps a program and runs `nested` (a whole second scheduler run) from
-// inside its first invocation.
+// inside vertex 0's first invocation.
 class NestingProgram final : public NodeProgram {
  public:
-  NestingProgram(std::unique_ptr<NodeProgram> inner,
-                 std::function<void()> nested)
-      : inner_(std::move(inner)), nested_(std::move(nested)) {}
+  NestingProgram(NodeProgram& inner, std::function<void()> nested)
+      : inner_(inner), nested_(std::move(nested)) {}
 
   void on_round(NodeContext& ctx, std::span<const Delivery> inbox) override {
-    if (nested_) std::exchange(nested_, nullptr)();
-    inner_->on_round(ctx, inbox);
+    if (ctx.self() == 0 && nested_) std::exchange(nested_, nullptr)();
+    inner_.on_round(ctx, inbox);
   }
 
-  bool quiescent() const override { return inner_->quiescent(); }
+  bool quiescent(VertexId v) const override { return inner_.quiescent(v); }
 
  private:
-  std::unique_ptr<NodeProgram> inner_;
+  NodeProgram& inner_;
   std::function<void()> nested_;
 };
 
 // Deliberately violates CONGEST by sending two messages on one edge.
 class FloodProgram final : public NodeProgram {
  public:
-  explicit FloodProgram(VertexId self) : self_(self) {}
   void on_round(NodeContext& ctx, std::span<const Delivery>) override {
-    if (ctx.round() == 0 && self_ == 0) {
+    if (ctx.round() == 0 && ctx.self() == 0) {
       for (const Incidence& inc : ctx.links()) {
         ctx.send(inc.neighbor, Message(kTagPing, {1}));
         ctx.send(inc.neighbor, Message(kTagPing, {2}));
       }
     }
-    done_ = true;
   }
-  bool quiescent() const override { return done_; }
-
- private:
-  VertexId self_;
-  bool done_ = false;
+  bool quiescent(VertexId) const override { return true; }
 };
 
 // Vertex 0 ships one `width`-word batch down each of its links in each of
 // the first `rounds` rounds.
 class WideBatchProgram final : public NodeProgram {
  public:
-  WideBatchProgram(VertexId self, size_t width, int rounds)
-      : self_(self), width_(width), rounds_(rounds) {}
+  WideBatchProgram(size_t width, int rounds) : width_(width), rounds_(rounds) {}
   void on_round(NodeContext& ctx, std::span<const Delivery>) override {
-    if (self_ != 0 || sent_ >= rounds_) return;
+    if (ctx.self() != 0 || sent_ >= rounds_) return;
     const std::vector<std::uint64_t> words(width_, 7);
     for (size_t li = 0; li < ctx.links().size(); ++li)
       ctx.send_words_on_link(static_cast<int>(li), kTagPing, words);
     ++sent_;
   }
-  bool quiescent() const override { return self_ != 0 || sent_ >= rounds_; }
+  bool quiescent(VertexId v) const override {
+    return v != 0 || sent_ >= rounds_;
+  }
 
  private:
-  VertexId self_;
   size_t width_;
   int rounds_;
-  int sent_ = 0;
+  int sent_ = 0;  // vertex 0's state
 };
 
 WeightedGraph path4() { return path_graph(4, WeightLaw::kUnit, 1.0, 1); }
@@ -113,11 +107,8 @@ TEST(Scheduler, PipelinedRelayDeliversEverything) {
   const WeightedGraph g = path4();
   Network net(g);
   std::vector<int> received(4, 0);
-  std::vector<std::unique_ptr<NodeProgram>> programs;
-  for (VertexId v = 0; v < 4; ++v)
-    programs.push_back(std::make_unique<RelayProgram>(v, 4, 5, received));
-  Scheduler sched(net, std::move(programs));
-  const CostStats cost = sched.run();
+  RelayProgram program(4, 5, received);
+  const CostStats cost = Scheduler(net, program).run();
   EXPECT_EQ(received[1], 5);
   EXPECT_EQ(received[2], 5);
   EXPECT_EQ(received[3], 5);
@@ -130,23 +121,18 @@ TEST(Scheduler, PipelinedRelayDeliversEverything) {
 TEST(Scheduler, StrictModeRejectsCongestion) {
   const WeightedGraph g = path4();
   Network net(g);
-  std::vector<std::unique_ptr<NodeProgram>> programs;
-  for (VertexId v = 0; v < 4; ++v)
-    programs.push_back(std::make_unique<FloodProgram>(v));
-  Scheduler sched(net, std::move(programs));
+  FloodProgram program;
+  Scheduler sched(net, program);
   EXPECT_THROW(sched.run(), std::logic_error);
 }
 
 TEST(Scheduler, RelaxedModeCountsLoad) {
   const WeightedGraph g = path4();
   Network net(g);
-  std::vector<std::unique_ptr<NodeProgram>> programs;
-  for (VertexId v = 0; v < 4; ++v)
-    programs.push_back(std::make_unique<FloodProgram>(v));
+  FloodProgram program;
   SchedulerOptions options;
   options.strict_congest = false;
-  Scheduler sched(net, std::move(programs), options);
-  const CostStats cost = sched.run();
+  const CostStats cost = Scheduler(net, program, options).run();
   EXPECT_EQ(cost.max_edge_load, 2u);
 }
 
@@ -154,11 +140,8 @@ TEST(Scheduler, QuiescentNetworkStopsImmediately) {
   const WeightedGraph g = path4();
   Network net(g);
   std::vector<int> received(4, 0);
-  std::vector<std::unique_ptr<NodeProgram>> programs;
-  for (VertexId v = 0; v < 4; ++v)
-    programs.push_back(std::make_unique<RelayProgram>(v, 4, 0, received));
-  Scheduler sched(net, std::move(programs));
-  const CostStats cost = sched.run();
+  RelayProgram program(4, 0, received);
+  const CostStats cost = Scheduler(net, program).run();
   EXPECT_EQ(cost.rounds, 1u);
   EXPECT_EQ(cost.messages, 0u);
 }
@@ -202,13 +185,10 @@ TEST(Scheduler, ScratchAdoptionIsBitIdenticalAndReusesCapacity) {
   auto run_relay = [&](SchedulerScratch* scratch) {
     Network net(g);
     std::vector<int> received(4, 0);
-    std::vector<std::unique_ptr<NodeProgram>> programs;
-    for (VertexId v = 0; v < 4; ++v)
-      programs.push_back(std::make_unique<RelayProgram>(v, 4, 5, received));
+    RelayProgram program(4, 5, received);
     SchedulerOptions options;
     options.scratch = scratch;
-    Scheduler sched(net, std::move(programs), options);
-    const CostStats cost = sched.run();
+    const CostStats cost = Scheduler(net, program, options).run();
     return std::make_pair(received, cost);
   };
   const auto [plain_recv, plain_cost] = run_relay(nullptr);
@@ -244,14 +224,9 @@ TEST(Scheduler, ScratchAdoptionIsBitIdenticalAndReusesCapacity) {
   CostStats outer_cost;
   {
     Network net(g);
-    std::vector<std::unique_ptr<NodeProgram>> programs;
-    programs.push_back(std::make_unique<NestingProgram>(
-        std::make_unique<RelayProgram>(0, 4, 5, outer_recv),
-        [&] { inner = run_relay(nullptr); }));
-    for (VertexId v = 1; v < 4; ++v)
-      programs.push_back(std::make_unique<RelayProgram>(v, 4, 5, outer_recv));
-    Scheduler sched(net, std::move(programs));
-    outer_cost = sched.run();
+    RelayProgram relay(4, 5, outer_recv);
+    NestingProgram program(relay, [&] { inner = run_relay(nullptr); });
+    outer_cost = Scheduler(net, program).run();
   }
   EXPECT_EQ(inner.first, plain_recv);
   EXPECT_EQ(outer_recv, plain_recv);
@@ -277,15 +252,12 @@ TEST(Scheduler, WordArenasDoNotDependOnEarlierRuns) {
   const WeightedGraph g = star_graph(11, WeightLaw::kUnit, 1.0, 1);
   const auto run = [&](SchedulerScratch& scratch, size_t width, int rounds) {
     Network net(g);
-    std::vector<std::unique_ptr<NodeProgram>> programs;
-    for (VertexId v = 0; v < 11; ++v)
-      programs.push_back(std::make_unique<WideBatchProgram>(v, width, rounds));
+    WideBatchProgram program(width, rounds);
     SchedulerOptions options;
     options.strict_congest = false;  // batches wider than one message
     options.scratch = &scratch;
     // The arenas return to the pool when the scheduler is destroyed.
-    const CostStats cost =
-        Scheduler(net, std::move(programs), options).run();
+    const CostStats cost = Scheduler(net, program, options).run();
     EXPECT_EQ(cost.words, 10 * width * static_cast<size_t>(rounds));
   };
   SchedulerScratch alone;

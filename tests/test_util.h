@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "congest/stats.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 
@@ -52,6 +53,25 @@ inline std::vector<NamedGraph> medium_graph_zoo() {
   zoo.push_back({"er64_heavy",
                  erdos_renyi(64, 0.12, WeightLaw::kHeavyTail, 500.0, 105)});
   return zoo;
+}
+
+// The model-level costs (not the simulator instrumentation) must agree
+// between scheduling modes and thread counts, per channel too.
+inline void expect_same_model_cost(const congest::CostStats& a,
+                                   const congest::CostStats& b,
+                                   const std::string& context) {
+  EXPECT_EQ(a.rounds, b.rounds) << context;
+  EXPECT_EQ(a.messages, b.messages) << context;
+  EXPECT_EQ(a.words, b.words) << context;
+  EXPECT_EQ(a.max_edge_load, b.max_edge_load) << context;
+  ASSERT_EQ(a.per_channel.size(), b.per_channel.size()) << context;
+  for (size_t ch = 0; ch < a.per_channel.size(); ++ch) {
+    const std::string where = context + " channel " + std::to_string(ch);
+    EXPECT_EQ(a.per_channel[ch].messages, b.per_channel[ch].messages) << where;
+    EXPECT_EQ(a.per_channel[ch].words, b.per_channel[ch].words) << where;
+    EXPECT_EQ(a.per_channel[ch].max_edge_load, b.per_channel[ch].max_edge_load)
+        << where;
+  }
 }
 
 inline constexpr double kTol = 1e-9;

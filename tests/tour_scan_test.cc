@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "congest/bfs.h"
 #include "graph/generators.h"
@@ -52,6 +53,35 @@ TEST(TourScan, MatchesSequentialReplayOnZoo) {
     const TourScanResult r = tour_interval_scan(g, tour, anchors, threshold);
     EXPECT_EQ(r.joined, replay(tour, anchors, threshold)) << name;
     EXPECT_EQ(r.cost.max_edge_load, 1u) << name;
+  }
+}
+
+// One program object serves every lane: at threads 2, 4 and 8 the joined
+// positions and the model cost equal threads=1.
+TEST(TourScan, ThreadCountsMatchSerial) {
+  auto graphs = testing::small_graph_zoo();
+  graphs.push_back({"grid16x16", grid(16, 16, /*perturb=*/true, 51)});
+  graphs.push_back(
+      {"er300", erdos_renyi(300, 0.03, WeightLaw::kUniform, 10.0, 52)});
+  for (const auto& [name, g] : graphs) {
+    const EulerTourResult tour = tour_of(g);
+    std::vector<std::int64_t> anchors;
+    for (std::int64_t start = 0; start < tour.num_positions; start += 9)
+      anchors.push_back(start);
+    std::vector<Weight> threshold(static_cast<size_t>(tour.num_positions));
+    for (size_t j = 0; j < threshold.size(); ++j)
+      threshold[j] = 0.25 * static_cast<double>(j % 5);
+    const TourScanResult serial =
+        tour_interval_scan(g, tour, anchors, threshold);
+    for (int threads : {2, 4, 8}) {
+      congest::SchedulerOptions options;
+      options.threads = threads;
+      const TourScanResult par =
+          tour_interval_scan(g, tour, anchors, threshold, options);
+      const std::string where = name + " threads=" + std::to_string(threads);
+      EXPECT_EQ(par.joined, serial.joined) << where;
+      testing::expect_same_model_cost(serial.cost, par.cost, where);
+    }
   }
 }
 

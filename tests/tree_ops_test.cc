@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 
 #include "congest/message.h"
 #include "graph/generators.h"
@@ -144,6 +145,82 @@ TEST(KeyedMaxAggregate, PipelinesAcrossKeys) {
                      15.0);
 }
 
+// Zoo graphs plus three spanning several frontier words and shards.
+std::vector<testing::NamedGraph> sweep_graphs() {
+  auto graphs = testing::small_graph_zoo();
+  graphs.push_back({"grid16x16", grid(16, 16, /*perturb=*/true, 31)});
+  graphs.push_back(
+      {"er300", erdos_renyi(300, 0.03, WeightLaw::kUniform, 10.0, 32)});
+  graphs.push_back({"geo256", random_geometric(256, 0.12, 33).graph});
+  return graphs;
+}
+
+bool same_items(const std::vector<TreeItem>& a,
+                const std::vector<TreeItem>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const TreeItem& x, const TreeItem& y) {
+                      return x.key == y.key && x.a == y.a && x.b == y.b;
+                    });
+}
+
+// One program object serves every lane: at threads 2, 4 and 8 the three
+// primitives return what threads=1 returns, in the same order, at the same
+// model cost.
+TEST(TreeOps, ThreadCountsMatchSerial) {
+  for (const auto& [name, g] : sweep_graphs()) {
+    const BfsTreeResult bfs = build_bfs_tree(g, 0);
+    const int n = g.num_vertices();
+    Rng rng(static_cast<std::uint64_t>(n));
+    const int num_keys = 9;
+    std::vector<std::vector<TreeItem>> items(static_cast<size_t>(n));
+    std::vector<std::vector<TreeItem>> contributions(static_cast<size_t>(n));
+    for (VertexId v = 0; v < n; ++v) {
+      for (int j = 0; j < 1 + v % 3; ++j)
+        items[static_cast<size_t>(v)].push_back(
+            {rng.next_below(2 * static_cast<std::uint64_t>(n)),
+             static_cast<std::uint64_t>(v), static_cast<std::uint64_t>(j)});
+      contributions[static_cast<size_t>(v)].push_back(
+          {rng.next_below(num_keys),
+           Message::encode_weight(rng.next_uniform(-5.0, 5.0)),
+           static_cast<std::uint64_t>(v)});
+    }
+    std::vector<TreeItem> broadcast;
+    for (int j = 0; j < 7; ++j)
+      broadcast.push_back({static_cast<std::uint64_t>(j), 1, 2});
+
+    SchedulerOptions serial;
+    const GatherResult gather = gather_to_root(g, bfs, items, false, serial);
+    const GatherResult dedupe = gather_to_root(g, bfs, items, true, serial);
+    const BroadcastResult bcast =
+        broadcast_from_root(g, bfs, broadcast, serial);
+    const KeyedAggregateResult agg =
+        keyed_max_aggregate(g, bfs, num_keys, contributions, serial);
+    for (int threads : {2, 4, 8}) {
+      SchedulerOptions options;
+      options.threads = threads;
+      const std::string where = name + " threads=" + std::to_string(threads);
+      const GatherResult par_gather =
+          gather_to_root(g, bfs, items, false, options);
+      EXPECT_TRUE(same_items(par_gather.items, gather.items)) << where;
+      testing::expect_same_model_cost(gather.cost, par_gather.cost,
+                                      where + " gather");
+      const GatherResult par_dedupe =
+          gather_to_root(g, bfs, items, true, options);
+      EXPECT_TRUE(same_items(par_dedupe.items, dedupe.items)) << where;
+      testing::expect_same_model_cost(dedupe.cost, par_dedupe.cost,
+                                      where + " dedupe");
+      testing::expect_same_model_cost(
+          bcast.cost, broadcast_from_root(g, bfs, broadcast, options).cost,
+          where + " broadcast");
+      const KeyedAggregateResult par_agg =
+          keyed_max_aggregate(g, bfs, num_keys, contributions, options);
+      EXPECT_TRUE(same_items(par_agg.best, agg.best)) << where;
+      testing::expect_same_model_cost(agg.cost, par_agg.cost,
+                                      where + " aggregate");
+    }
+  }
+}
+
 TEST(KeyedMaxAggregate, ZeroKeysIsTrivial) {
   const WeightedGraph g = path_graph(4, WeightLaw::kUnit, 1.0, 1);
   const BfsTreeResult bfs = build_bfs_tree(g, 0);
@@ -151,18 +228,6 @@ TEST(KeyedMaxAggregate, ZeroKeysIsTrivial) {
   const KeyedAggregateResult r =
       keyed_max_aggregate(g, bfs, 0, contributions);
   EXPECT_TRUE(r.best.empty());
-}
-
-TEST(BfsChildren, InvertsParentPointers) {
-  const WeightedGraph g = grid(3, 3, /*perturb=*/false, 1);
-  const BfsTreeResult bfs = build_bfs_tree(g, 0);
-  const auto children = bfs_children(bfs);
-  size_t child_count = 0;
-  for (const auto& ch : children) child_count += ch.size();
-  EXPECT_EQ(child_count, 8u);  // every non-root is someone's child
-  for (VertexId p = 0; p < 9; ++p)
-    for (VertexId c : children[static_cast<size_t>(p)])
-      EXPECT_EQ(bfs.parent[static_cast<size_t>(c)], p);
 }
 
 }  // namespace

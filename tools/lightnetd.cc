@@ -6,54 +6,42 @@
 //   lightnetd --cache-bytes=N      artifact cache byte budget   (default 64M)
 //   lightnetd --scenario-entries=N scenario cache entry budget  (default 32)
 //   lightnetd --no-cache           disable both cache layers (cold baseline)
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "api/cli.h"
 #include "service/server.h"
 
-namespace {
-
-bool parse_size(const char* value, std::size_t* out) {
-  if (*value == '\0') return false;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value, &end, 10);
-  if (*end != '\0') return false;
-  *out = static_cast<std::size_t>(parsed);
-  return true;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using lightnet::api::parse_u64_strict;
   lightnet::service::ServiceOptions options;
   bool tcp = false;
   int port = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    std::size_t parsed = 0;
+    std::uint64_t parsed = 0;
     if (arg.rfind("--tcp=", 0) == 0) {
-      if (!parse_size(arg.c_str() + 6, &parsed) || parsed > 65535) {
+      if (!parse_u64_strict(arg.substr(6), &parsed) || parsed > 65535) {
         std::fprintf(stderr, "lightnetd: invalid port '%s'\n", arg.c_str());
         return 1;
       }
       tcp = true;
       port = static_cast<int>(parsed);
     } else if (arg.rfind("--cache-entries=", 0) == 0) {
-      if (!parse_size(arg.c_str() + 16, &parsed) || parsed == 0) {
+      if (!parse_u64_strict(arg.substr(16), &parsed) || parsed == 0) {
         std::fprintf(stderr, "lightnetd: invalid %s\n", arg.c_str());
         return 1;
       }
       options.cache_entries = parsed;
     } else if (arg.rfind("--cache-bytes=", 0) == 0) {
-      if (!parse_size(arg.c_str() + 14, &parsed) || parsed == 0) {
+      if (!parse_u64_strict(arg.substr(14), &parsed) || parsed == 0) {
         std::fprintf(stderr, "lightnetd: invalid %s\n", arg.c_str());
         return 1;
       }
       options.cache_bytes = parsed;
     } else if (arg.rfind("--scenario-entries=", 0) == 0) {
-      if (!parse_size(arg.c_str() + 19, &parsed) || parsed == 0) {
+      if (!parse_u64_strict(arg.substr(19), &parsed) || parsed == 0) {
         std::fprintf(stderr, "lightnetd: invalid %s\n", arg.c_str());
         return 1;
       }
