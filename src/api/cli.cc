@@ -55,8 +55,7 @@ const char kUsage[] =
     "scenario knobs (ScenarioSpec):\n"
     "  max_weight=FLOAT avg_degree=FLOAT geo_radius=FLOAT chord_weight=FLOAT\n"
     "  scenario=FAMILY[:n=..][:seed=..][:law=..]  one-spec sugar\n"
-    "fault injection (an active plan clamps threads to 1 at the driver\n"
-    "boundary; the record reports \"threads_clamped\":true):\n"
+    "fault injection:\n"
     "  fault.seed=U64 fault.drop=FLOAT fault.link_fail=FLOAT\n"
     "  fault.link_period=INT fault.crash=FLOAT fault.crash_horizon=INT\n"
     "  fault.restart=INT fault.reorder=0|1\n"

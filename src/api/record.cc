@@ -52,12 +52,6 @@ std::string params_json(const ConstructionParams& p) {
   return out;
 }
 
-bool clamp_reliable_serial(RunSpec& spec) {
-  if (!spec.fault.enabled() || spec.threads <= 1) return false;
-  spec.threads = 1;
-  return true;
-}
-
 RunContext spec_context(const RunSpec& spec, RunContext base) {
   base.seed = spec.scenario.seed;
   base.sched.full_sweep = spec.full_sweep;
@@ -69,18 +63,10 @@ RunContext spec_context(const RunSpec& spec, RunContext base) {
 }
 
 RunRecord run_and_record(const WeightedGraph& g, int hop_diameter,
-                         const RunSpec& spec_in, RunContext ctx) {
-  LN_REQUIRE(spec_in.construction != nullptr,
+                         const RunSpec& spec, RunContext ctx) {
+  LN_REQUIRE(spec.construction != nullptr,
              "run_and_record needs a construction");
-  RunSpec spec = spec_in;
   RunRecord out;
-  out.threads_clamped = clamp_reliable_serial(spec);
-  // The boundary guard for the clamp above: nothing below may dispatch an
-  // active fault plan onto a parallel scheduler (the reliable transport is
-  // serial; see congest/scheduler.h).
-  LN_REQUIRE(!(spec.fault.enabled() && spec.threads > 1),
-             "active fault plans require threads = 1");
-
   const Construction& c = *spec.construction;
   ctx = spec_context(spec, std::move(ctx));
 
@@ -131,7 +117,6 @@ RunRecord run_and_record(const WeightedGraph& g, int hop_diameter,
   // byte-identical to historical output (and so a threads sweep can be
   // diffed against serial after stripping this one field).
   if (spec.threads != 1) line += ",\"threads\":" + std::to_string(spec.threads);
-  if (out.threads_clamped) line += ",\"threads_clamped\":true";
   // Same emit-off-default rule: concurrent-scale records (the default) stay
   // byte-identical to what a pre-knob build produced.
   if (spec.sequential_scales) line += ",\"sequential_scales\":true";

@@ -14,10 +14,8 @@
 //   - runs with an active FaultPlan OR an explicit max_rounds cap go through
 //     api/validate's graceful path: exceptions and round-cap aborts fold
 //     into a RunOutcome, and the record carries a "validation" object.
-//   - an active FaultPlan clamps threads to 1 at this boundary (the reliable
-//     transport's per-link state machine is serial, congest/scheduler.h);
-//     the clamp is reported in the record as "threads_clamped":true rather
-//     than silently applied by whichever entry point notices first.
+//   - the spec's thread count applies to every run, faulty or not: records
+//     are byte-identical across thread counts apart from "threads".
 #pragma once
 
 #include <cstdint>
@@ -58,19 +56,12 @@ std::string fault_json(const congest::FaultPlan& f);
 std::string validation_json(const Validation& v);
 std::string params_json(const ConstructionParams& p);
 
-// The reliable-transport serial clamp, applied once at the driver/service
-// boundary: a spec combining an active fault plan with threads > 1 is
-// clamped to threads = 1 (and reports it), instead of relying on each entry
-// point's internal clamp. Returns true when the spec was clamped.
-bool clamp_reliable_serial(RunSpec& spec);
-
 struct RunRecord {
   std::string json;  // the full record line, no trailing '\n'
   // True when the fast path caught a construction exception and `json` is
   // an error record (graceful runs fold exceptions into the outcome
   // instead).
   bool error = false;
-  bool threads_clamped = false;
   // Meaningful only for graceful runs (fault or max_rounds active).
   RunOutcome outcome = RunOutcome::kCompleted;
   // The ledger's total simulated messages (0 for an error record): the
@@ -81,24 +72,21 @@ struct RunRecord {
 // `base` with the knobs a spec pins copied in: the seed (the scenario's) and
 // the scheduler's fault plan, threads, full_sweep, sequential_scales and
 // max_rounds (when set). Everything else in `base` (substrate_pool,
-// sched.scratch, ledger_sink) is kept. run_and_record runs under this
-// context; a driver that calls Construction::run directly uses it to run
-// the same configuration.
+// sched.scratch) is kept. run_and_record runs under this context; a driver
+// that calls Construction::run directly uses it to run the same
+// configuration.
 RunContext spec_context(const RunSpec& spec, RunContext base = {});
 
 // Executes spec.construction on g and renders the record, under
-// spec_context(spec, ctx) after the reliable-transport clamp. `hop_diameter`
-// is passed in so sweeps computing it once per graph don't recompute per
-// run.
+// spec_context(spec, ctx). `hop_diameter` is passed in so sweeps computing
+// it once per graph don't recompute per run.
 RunRecord run_and_record(const WeightedGraph& g, int hop_diameter,
                          const RunSpec& spec, RunContext ctx);
 
 // The canonical cache identity of a run: every field that affects the
 // record's bytes — the full ScenarioSpec (a graph materializes
 // deterministically from it), construction name, params, fault plan and
-// scheduler knobs — serialized in a fixed order. Key the spec as REQUESTED,
-// before any clamp: a clamped run's record carries "threads_clamped":true,
-// so it must not share a cache entry with its already-serial twin.
+// scheduler knobs — serialized in a fixed order.
 std::string canonical_run_key(const RunSpec& spec);
 
 // The scenario-only prefix of canonical_run_key: the identity under which a

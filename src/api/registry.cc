@@ -240,7 +240,6 @@ class BaswanaSenConstruction final : public Construction {
     Artifact a;
     a.edges = std::move(r.spanner);
     a.ledger.add("baswana-sen", r.cost);
-    deposit(ctx, a.ledger, "baswana-sen");
     push(a.diagnostics, "bound_stretch", 2.0 * p.k - 1.0);
     return a;
   }
@@ -279,7 +278,6 @@ class ElkinNeimanConstruction final : public Construction {
     cost.words = cost.messages;
     cost.max_edge_load = 1;
     a.ledger.add("en-propagation", cost);
-    deposit(ctx, a.ledger, "elkin-neiman");
     push(a.diagnostics, "resample_count",
          static_cast<double>(r.resample_count));
     push(a.diagnostics, "bound_hop_stretch", 2.0 * p.k - 1.0);
@@ -299,8 +297,8 @@ class BfsTreeConstruction final : public Construction {
                const RunContext& ctx) const override {
     // Under a fault plan the plain flood would silently build a wrong tree
     // (a dropped announcement re-parents a subtree deeper); the reliable
-    // fixpoint variant converges to the identical tree through the
-    // transport, so the same registry entry serves both worlds.
+    // fixpoint variant retransmits its way to the identical tree, so the
+    // same registry entry serves both worlds.
     const congest::BfsTreeResult r =
         ctx.sched.fault.enabled()
             ? congest::build_bfs_tree_reliable(g, p.root, ctx.sched)
@@ -317,7 +315,8 @@ class BfsTreeConstruction final : public Construction {
       parent_edges[static_cast<size_t>(e) >> 6] |= 1ull << (e & 63);
     }
     Artifact a;
-    a.edges.reserve(static_cast<size_t>(r.reached) - 1);
+    // A crash can leave even the root unreached (reached == 0).
+    a.edges.reserve(static_cast<size_t>(std::max(r.reached, 1)) - 1);
     for (size_t i = 0; i < parent_edges.size(); ++i) {
       for (std::uint64_t bits = parent_edges[i]; bits != 0; bits &= bits - 1) {
         const int b = std::countr_zero(bits);
@@ -325,7 +324,6 @@ class BfsTreeConstruction final : public Construction {
       }
     }
     a.ledger.add("bfs-flood", r.cost);
-    deposit(ctx, a.ledger, "bfs_tree");
     push(a.diagnostics, "root", p.root);
     push(a.diagnostics, "height", r.height);
     push(a.diagnostics, "reached", r.reached);

@@ -28,15 +28,16 @@ struct BfsTreeResult {
 BfsTreeResult build_bfs_tree(const WeightedGraph& g, VertexId root,
                              SchedulerOptions sched_options = {});
 
-// Retransmit-aware BFS: every announcement goes through the reliable
-// transport, and nodes keep the canonical fixpoint (minimum depth, ties to
-// the minimum parent id) instead of "first delivery wins". On a connected
-// graph this converges to bit-the-same tree as the fault-free
-// build_bfs_tree — the plain program's deterministic inbox order picks
-// exactly that canonical parent — while surviving any drop/reorder plan.
-// Unreachable vertices (crashed, or cut off by dead links) keep depth -1;
-// no connectivity requirement. Forces strict_congest = false (transport
-// frames need the relaxed budget).
+// Retransmit-aware BFS: the program runs its own per-link stop-and-wait
+// (sequence numbers, cumulative acks, timed retransmissions; congest/bfs.cc),
+// and nodes keep the canonical fixpoint (minimum depth, ties to the minimum
+// parent id) instead of "first delivery wins". On a connected graph this
+// converges to bit-the-same tree as the fault-free build_bfs_tree — the
+// plain program's deterministic inbox order picks exactly that canonical
+// parent — while surviving any drop/reorder plan. Unreachable vertices
+// (crashed, or cut off by links it gave up on) keep depth -1; no
+// connectivity requirement. Forces strict_congest = false (an ack and a
+// frame may share a directed slot in a round); runs at any thread count.
 BfsTreeResult build_bfs_tree_reliable(const WeightedGraph& g, VertexId root,
                                       SchedulerOptions sched_options = {});
 

@@ -4,7 +4,6 @@
 #include <bit>
 #include <climits>
 
-#include "congest/reliable.h"
 #include "congest/worker_pool.h"
 #include "support/assert.h"
 #include "support/rng.h"
@@ -38,10 +37,6 @@ void NodeContext::send_words_on_link(int link_index, std::uint32_t tag,
   const std::uint32_t slot = network_->dir_slot(link_base_ + link_index);
   scheduler_->enqueue_words(lane_, self_, inc.neighbor, inc.edge, slot, tag,
                             channel, words);
-}
-
-void NodeContext::reliable_send_on_link(int link_index, const Message& msg) {
-  scheduler_->reliable_send(self_, link_base_, link_index, links_, msg);
 }
 
 std::span<const std::uint64_t> NodeContext::payload(const Message& msg) const {
@@ -309,23 +304,6 @@ void Scheduler::apply_crash_events(int round) {
   }
 }
 
-void Scheduler::reliable_send(VertexId from, int link_base, int link_index,
-                              std::span<const Incidence> links,
-                              const Message& msg) {
-  LN_ASSERT_MSG(
-      link_index >= 0 && static_cast<size_t>(link_index) < links.size(),
-      "link index out of range");
-  LN_REQUIRE(!options_.strict_congest,
-             "reliable transport frames exceed the strict one-message "
-             "budget; run with strict_congest = false");
-  LN_REQUIRE(!pool_,
-             "the reliable transport's per-link state machine is serial; "
-             "run with threads = 1");
-  LN_ASSERT_MSG(msg.ext_size == 0, "reliable sends must be standard messages");
-  if (!transport_) transport_ = std::make_unique<ReliableTransport>(*this);
-  transport_->send(from, link_base + link_index, link_index, msg);
-}
-
 CostStats Scheduler::run() {
   for (int round = 0;; ++round) {
     if (round >= options_.max_rounds) {
@@ -338,9 +316,7 @@ CostStats Scheduler::run() {
     if (fault_) apply_crash_events(round);
     run_round(round);
     stats_.rounds = static_cast<std::uint64_t>(round) + 1;
-    if (!busy_ && waiting_restarts_ == 0 &&
-        (!transport_ || !transport_->pending()))
-      break;
+    if (!busy_ && waiting_restarts_ == 0) break;
   }
   // Lanes and shards count over the whole run.
   for (const ShardScratch& shard : shards_) stats_.dropped += shard.dropped;
@@ -397,12 +373,10 @@ void Scheduler::run_round(int round) {
   // Delivery direction, a pure function of the round's volume: dense
   // rounds scan each shard's vertex range instead of listing recipients as
   // the buckets drain. Fault plans pin the sparse direction (drop
-  // accounting builds the recipient lists anyway), and so does the
-  // reliable transport, whose frames must be stripped before the wake
-  // marks that the dense scan sets inline.
+  // accounting builds the recipient lists anyway).
   const bool dense = deliver_total != 0 &&
                      deliver_total * 4 >= static_cast<std::uint64_t>(num_nodes_) &&
-                     !fault_ && !transport_ && !options_.full_sweep;
+                     !fault_ && !options_.full_sweep;
   if (dense) ++stats_.rounds_receiver_scan;
 
   // --- job 1: per-shard inbox assembly, window fold, frontier scan ---
@@ -411,23 +385,11 @@ void Scheduler::run_round(int round) {
         pool_->run([&](int shard) { deliver_shard(shard, round, dense); });
   else
     deliver_shard(0, round, dense);
-  const bool full_range = options_.full_sweep || round == 0;
-  if (transport_) {
-    // threads = 1: strip the transport's frames, then wake the recipients
-    // left with mail (a node whose whole inbox was dropped or consumed
-    // stays asleep), then scan.
-    ShardScratch& shard = shards_[0];
-    transport_->process_inbound(shard.mail);
-    if (!options_.full_sweep)
-      for (VertexId v : shard.mail)
-        if (inbox_len_[static_cast<size_t>(v)] != 0) mark_frontier(v);
-    if (!full_range) scan_shard_frontier(shard);
-  }
 
   // --- the invocation order: every live vertex under full_sweep and in
   // round 0, else the shard scans concatenated in shard order (the global
   // ascending order; at threads = 1 the one scan is used as is) ---
-  if (full_range) {
+  if (options_.full_sweep || round == 0) {
     active_.clear();
     for (VertexId v = 0; v < num_nodes_; ++v)
       if (!fault_ || !node_down_[static_cast<size_t>(v)]) active_.push_back(v);
@@ -442,8 +404,8 @@ void Scheduler::run_round(int round) {
       active_.insert(active_.end(), shard.active.begin(), shard.active.end());
     order_ = active_;
   }
-  if (round > 0 && order_.empty() && (fault_ || transport_))
-    ++stats_.rounds_lost;  // clock ticks spent only on timers / restarts
+  if (round > 0 && order_.empty() && fault_)
+    ++stats_.rounds_lost;  // the plan left no vertex to run
 
   // --- job 2: invocation. An even split of the ascending order, so lane l
   // owns a contiguous run of senders and draining lanes in order at the
@@ -457,7 +419,6 @@ void Scheduler::run_round(int round) {
   } else {
     invoke_chunk(0, round);
   }
-  if (transport_) transport_->tick();
 
   // --- what the round left behind: wake-ups, their marks, sends ---
   bool busy = false;
@@ -560,8 +521,7 @@ void Scheduler::deliver_shard(int shard_index, int round, bool dense) {
   // (plain bit sets: shard boundaries are 64-aligned, so no other worker
   // ever writes these words). Dense rounds rebuild the shard's recipient
   // list ascending as a byproduct of the range scan; recipients whose whole
-  // inbox was dropped never entered shard.mail, so they stay asleep. With a
-  // transport attached the marks wait until it has stripped its frames.
+  // inbox was dropped never entered shard.mail, so they stay asleep.
   std::uint32_t offset = shard_arena_base_[s];
   if (dense) {
     for (VertexId v = shard.begin; v < shard.end; ++v) {
@@ -580,7 +540,7 @@ void Scheduler::deliver_shard(int shard_index, int round, bool dense) {
       shard.marks.widen(shard.mail.back());
     }
   } else {
-    const bool wake = !options_.full_sweep && !transport_;
+    const bool wake = !options_.full_sweep;
     for (VertexId v : shard.mail) {
       const size_t vi = static_cast<size_t>(v);
       inbox_start_[vi] = offset;
@@ -613,9 +573,8 @@ void Scheduler::deliver_shard(int shard_index, int round, bool dense) {
 
   // 6. The shard's slice of this round's invocation order (the whole range
   // under full_sweep and in round 0 is listed after the job), by a frontier
-  // scan that a transport defers until its frames are stripped.
-  if (!options_.full_sweep && round != 0 && !transport_)
-    scan_shard_frontier(shard);
+  // scan.
+  if (!options_.full_sweep && round != 0) scan_shard_frontier(shard);
 }
 
 void Scheduler::scan_shard_frontier(ShardScratch& shard) {

@@ -53,6 +53,10 @@
 //    lane and one shard and calls both jobs inline. Artifacts, ledgers and
 //    stats are bit-identical at every thread count; tests/round_oracle.h is
 //    the naive round loop they are all checked against.
+//  - No side layer: the round is delivery plus invocation and nothing else.
+//    Recovery from a fault plan's losses is program state (the reliable BFS
+//    of congest/bfs.cc keeps its own stop-and-wait per link), so a faulty
+//    run takes the same sharded round at any thread count.
 //
 // Congestion: the scheduler counts messages per (edge, direction) per round.
 // In strict mode, more than one message on a directed edge in a round —
@@ -76,7 +80,6 @@
 namespace lightnet::congest {
 
 class NodeContext;
-class ReliableTransport;
 class WorkerPool;
 
 class NodeProgram {
@@ -130,17 +133,6 @@ class NodeContext {
   void send_words_on_link(int link_index, std::uint32_t tag,
                           std::span<const std::uint64_t> words,
                           std::uint8_t channel = 0);
-
-  // Reliable form of send_on_link: the message is framed with a sequence
-  // number and shipped through the scheduler's stop-and-wait transport
-  // (congest/reliable.h) — delivered exactly once and in order even under
-  // an active FaultPlan, at the cost of acks and retransmissions that are
-  // charged honestly to the ledger. Requires strict_congest = false (the
-  // 2-word frame header exceeds the one-message budget) and threads = 1
-  // (the transport's per-link state machine is inherently serial; reliable
-  // entry points clamp their SchedulerOptions accordingly). The receiver
-  // needs no changes: the payload arrives unwrapped with its original tag.
-  void reliable_send_on_link(int link_index, const Message& msg);
 
   // Full payload of a delivered message: the inline words for standard
   // messages, the arena-resident span for batched ones. Valid only during
@@ -218,8 +210,8 @@ struct SchedulerOptions {
   // > 1 are clamped to Scheduler::kMaxLanes. Outputs, artifacts and all
   // model costs are bit-identical across every thread count — parallelism
   // only changes wall-clock time and the rounds_parallel/max_shard_skew/
-  // barrier_wait_ns instrumentation. Composes with fault plans; the
-  // reliable transport requires threads = 1.
+  // barrier_wait_ns instrumentation. Composes with fault plans: a lossy
+  // run makes the same drops, crashes and restarts at every thread count.
   int threads = 1;
   // Abort if any directed edge carries more than one message in one round.
   bool strict_congest = true;
@@ -250,7 +242,7 @@ class Scheduler {
   // `program` runs at every vertex of `network`; it must outlive run().
   Scheduler(const Network& network, NodeProgram& program,
             SchedulerOptions options = {});
-  ~Scheduler();  // out of line: ReliableTransport/WorkerPool incomplete here
+  ~Scheduler();  // out of line: WorkerPool is incomplete here
 
   // Runs rounds until global quiescence; returns the cost.
   CostStats run();
@@ -267,7 +259,6 @@ class Scheduler {
 
  private:
   friend class NodeContext;
-  friend class ReliableTransport;
 
   static constexpr std::uint32_t kLaneShift = 28;
   static constexpr std::uint32_t kLaneOffsetMask = (1u << kLaneShift) - 1;
@@ -339,25 +330,20 @@ class Scheduler {
   // in the top bits, lane-local offset below).
   std::span<const std::uint64_t> payload(const Message& msg) const;
   // Marks a vertex for invocation from a point of the round where no job
-  // runs (restarts, transport recipients).
+  // runs (restarts).
   void mark_frontier(VertexId v) {
     frontier_.set(v);
     marks_.widen(v);
   }
   void shuffle_inbox(int round, VertexId v);  // fault plan's reorder
   void apply_crash_events(int round);  // crash/restart transitions
-  // Entry point for NodeContext::reliable_send_on_link; creates the
-  // transport lazily on first use.
-  void reliable_send(VertexId from, int link_base, int link_index,
-                     std::span<const Incidence> links, const Message& msg);
 
   // --- the round: delivery job, invocation job ---
   void run_round(int round);
   // The delivery job of one recipient shard: inbox assembly, the window
   // fold, then the shard's slice of the invocation order into shard.active
   // by a frontier scan (none in round 0 and under full_sweep, which invoke
-  // every live vertex; an attached transport defers it until its frames
-  // are stripped).
+  // every live vertex).
   void deliver_shard(int shard, int round, bool dense);
   // Ascending scan of the shard's bitmap words inside the mark windows.
   void scan_shard_frontier(ShardScratch& shard);
@@ -433,9 +419,6 @@ class Scheduler {
   std::vector<CrashEvent> crash_events_;  // sorted by (round, v)
   size_t next_crash_event_ = 0;
   int waiting_restarts_ = 0;  // down nodes that will come back
-
-  // --- reliable transport (created lazily on first reliable send) ---
-  std::unique_ptr<ReliableTransport> transport_;
 
   // --- cross-run arena pool (see SchedulerScratch) ---
   SchedulerScratch* scratch_ = nullptr;  // non-null only while adopted

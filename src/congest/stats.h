@@ -46,8 +46,8 @@ struct CostStats {
   // Robustness counters — all zero on a fault-free run (and then omitted
   // from the JSON, so fault-free records keep their historical schema).
   std::uint64_t dropped = 0;        // deliveries lost to fault injection
-  std::uint64_t retransmitted = 0;  // reliable-transport retransmissions
-  std::uint64_t rounds_lost = 0;    // rounds spent only on timers/restarts
+  std::uint64_t retransmitted = 0;  // frames a program sent again (timeout)
+  std::uint64_t rounds_lost = 0;    // rounds the plan left no vertex to run
   std::uint64_t crashed_nodes = 0;  // crash events applied
   std::uint64_t rounds_capped = 0;  // 1 if the run hit max_rounds (aborted)
 
@@ -63,8 +63,8 @@ struct CostStats {
   // offsets assigned by a linear scan over the vertex range instead of by
   // listing recipients as the staged messages drain. Decided per round from
   // the volume that round delivers (at least one message per four
-  // vertices, with no fault plan or transport attached), so the count is
-  // the same at every thread count.
+  // vertices, with no fault plan), so the count is the same at every
+  // thread count.
   std::uint64_t rounds_receiver_scan = 0;
   // Max over parallel rounds of (messages into the busiest recipient shard)
   // minus the per-shard average that round: how unevenly the deterministic

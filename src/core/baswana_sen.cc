@@ -116,10 +116,7 @@ BaswanaSenResult baswana_sen_spanner(const WeightedGraph& g,
 BaswanaSenResult baswana_sen_spanner(const WeightedGraph& g,
                                      std::span<const char> edge_allowed,
                                      int k, const api::RunContext& ctx) {
-  BaswanaSenResult result = baswana_sen_spanner(g, edge_allowed, k, ctx.seed);
-  if (ctx.ledger_sink != nullptr)
-    ctx.ledger_sink->add("baswana-sen", result.cost);
-  return result;
+  return baswana_sen_spanner(g, edge_allowed, k, ctx.seed);
 }
 
 }  // namespace lightnet

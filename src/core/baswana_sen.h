@@ -29,8 +29,7 @@ BaswanaSenResult baswana_sen_spanner(const WeightedGraph& g,
                                      std::span<const char> edge_allowed,
                                      int k, std::uint64_t seed);
 
-// RunContext entry point: seed from ctx.seed; the O(k)-round cost charge is
-// mirrored into ctx.ledger_sink as a single "baswana-sen" phase.
+// RunContext entry point: seed from ctx.seed.
 BaswanaSenResult baswana_sen_spanner(const WeightedGraph& g,
                                      std::span<const char> edge_allowed,
                                      int k, const api::RunContext& ctx);

@@ -300,7 +300,6 @@ DoublingSpannerResult build_doubling_spanner(
 
   for (EdgeId e = 0; e < g.num_edges(); ++e)
     if (in_spanner[static_cast<size_t>(e)]) result.spanner.push_back(e);
-  api::deposit(ctx, result.ledger, "doubling-spanner");
   return result;
 }
 

@@ -78,8 +78,7 @@ struct DoublingSpannerResult {
   std::vector<ScaleDiagnostics> scales;
 };
 
-// Randomness from ctx.seed, every kernel execution under ctx.sched,
-// per-phase costs mirrored into ctx.ledger_sink.
+// Randomness from ctx.seed, every kernel execution under ctx.sched.
 DoublingSpannerResult build_doubling_spanner(const WeightedGraph& g,
                                              const DoublingSpannerParams& params,
                                              const api::RunContext& ctx);

@@ -395,7 +395,6 @@ LightSpannerResult build_light_spanner(const WeightedGraph& g,
   }
 
   result.spanner = dedupe_edge_ids(std::move(spanner));
-  api::deposit(ctx, result.ledger, "light-spanner");
   return result;
 }
 

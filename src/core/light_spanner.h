@@ -54,8 +54,7 @@ struct LightSpannerResult {
   size_t mst_edge_count = 0;
 };
 
-// Randomness from ctx.seed, every kernel execution under ctx.sched,
-// per-phase costs mirrored into ctx.ledger_sink.
+// Randomness from ctx.seed, every kernel execution under ctx.sched.
 LightSpannerResult build_light_spanner(const WeightedGraph& g,
                                        const LightSpannerParams& params,
                                        const api::RunContext& ctx);

@@ -55,7 +55,6 @@ MstEstimateResult estimate_mst_weight(const WeightedGraph& g, double delta,
                   "estimator did not converge to a single net point");
   }
   result.ratio = result.psi / result.exact;
-  api::deposit(ctx, result.ledger, "mst-weight-estimate");
   return result;
 }
 

@@ -146,7 +146,6 @@ NetResult build_net(const WeightedGraph& g, const NetParams& params,
                   "cap");
     if (in_net[static_cast<size_t>(v)]) result.net.push_back(v);
   }
-  api::deposit(ctx, result.ledger, "net");
   return result;
 }
 

@@ -46,8 +46,7 @@ struct NetResult {
   congest::RoundLedger ledger;
 };
 
-// Randomness from ctx.seed, every kernel execution under ctx.sched,
-// per-phase costs mirrored into ctx.ledger_sink.
+// Randomness from ctx.seed, every kernel execution under ctx.sched.
 NetResult build_net(const WeightedGraph& g, const NetParams& params,
                     const api::RunContext& ctx);
 

@@ -239,7 +239,6 @@ SltResult build_slt(const WeightedGraph& g, VertexId rt, double epsilon,
   result.ledger.add("final-approx-spt", final_spt.cost);
   result.tree_edges = std::move(final_spt.tree_edges);
   result.tree = std::move(final_spt.tree);
-  api::deposit(ctx, result.ledger, "slt");
   return result;
 }
 
@@ -267,9 +266,8 @@ SltResult build_slt_light(const WeightedGraph& g, VertexId rt, double gamma,
   const WeightedGraph g_prime =
       WeightedGraph::from_edges(g.num_vertices(), std::move(reweighted));
 
-  // Run the base construction on the reweighted graph (edge ids coincide).
-  // The child context keeps the scheduler mode but detaches the sink: the
-  // base ledger is absorbed below, so a shared sink would double-count it.
+  // Run the base construction on the reweighted graph (edge ids coincide);
+  // its ledger is absorbed below.
   SltResult base = build_slt(g_prime, rt, base_epsilon, ctx.child(0));
 
   // Final tree: approximate SPT (original weights) of base ∪ MST.
@@ -293,7 +291,6 @@ SltResult build_slt_light(const WeightedGraph& g, VertexId rt, double gamma,
   result.ledger.add("bfn16-final-spt", final_spt.cost);
   result.tree_edges = std::move(final_spt.tree_edges);
   result.tree = std::move(final_spt.tree);
-  api::deposit(ctx, result.ledger, "slt-light");
   return result;
 }
 

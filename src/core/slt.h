@@ -41,7 +41,7 @@ struct SltResult {
 };
 
 // The construction is deterministic; the RunContext contributes the
-// scheduler mode for every kernel phase and an optional ledger sink.
+// scheduler mode for every kernel phase.
 SltResult build_slt(const WeightedGraph& g, VertexId rt, double epsilon,
                     const api::RunContext& ctx = {});
 

@@ -81,8 +81,6 @@ std::string LightnetServer::handle_run(const std::string& id_json,
     return error_response(id_json, parse_error);
   }
 
-  // Keyed as requested (pre-clamp): a clamped run's record reports
-  // "threads_clamped":true, so it must not alias its serial twin's entry.
   const std::string key = api::canonical_run_key(spec);
   const std::uint64_t key_hash = api::canonical_run_fnv1a(key);
   const std::string prefix = "{\"id\":" + id_json +
@@ -109,7 +107,6 @@ std::string LightnetServer::handle_run(const std::string& id_json,
   const api::RunRecord rec =
       api::run_and_record(scenario->graph, scenario->hop_diameter, spec, ctx);
   ++runs_;
-  if (rec.threads_clamped) ++threads_clamped_;
   if (options_.cache_enabled)
     artifacts_.offer(key, key_hash, rec.json, rec.messages);
   return prefix + rec.json + "}";
@@ -133,7 +130,6 @@ std::string LightnetServer::stats_json() const {
   out += "\"requests\":" + std::to_string(requests_);
   out += ",\"runs\":" + std::to_string(runs_);
   out += ",\"errors\":" + std::to_string(errors_);
-  out += ",\"threads_clamped\":" + std::to_string(threads_clamped_);
   out += ",\"cache_enabled\":" +
          std::string(options_.cache_enabled ? "true" : "false");
   const ArtifactCache::Lru& artifact_lru = artifacts_.lru();

@@ -32,11 +32,6 @@
 // One SchedulerScratch spans all runs: scheduler arenas are adopted and
 // returned per kernel execution instead of reallocated per request.
 //
-// A request combining fault.* with threads>1 is clamped to threads=1 at
-// this boundary (api::clamp_reliable_serial) and the record reports
-// "threads_clamped":true; the clamped and pre-clamped variants are
-// distinct cache entries because their records differ by that field.
-//
 // The loop is in-process-testable: handle_line() maps one request line to
 // one response line with no I/O, serve() runs the pipe mode over stdio
 // FILE*s, and serve_tcp() binds a localhost socket for the daemon mode.
@@ -124,7 +119,6 @@ class LightnetServer {
   std::size_t requests_ = 0;
   std::size_t runs_ = 0;
   std::size_t errors_ = 0;
-  std::size_t threads_clamped_ = 0;
 };
 
 }  // namespace lightnet::service

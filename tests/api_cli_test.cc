@@ -282,6 +282,23 @@ TEST(Cli, MaxRoundsAxisAbortsGracefully) {
       << lines[0];
 }
 
+TEST(Cli, BfsTreeThatReachesNoVertexIsDegraded) {
+  // Every vertex, the root included, crashes for good in round 0: the tree
+  // is empty, and the record says so instead of aborting.
+  int exit_code = -1;
+  const auto lines = run_cli_lines(
+      {"construction=bfs_tree", "topology=er", "n=64", "fault.crash=1",
+       "fault.crash_horizon=1", "fault.seed=1", "wall=0"},
+      &exit_code);
+  EXPECT_EQ(exit_code, 0);
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_NE(lines[0].find("\"outcome\":\"degraded\",\"failures\":[]"),
+            std::string::npos)
+      << lines[0];
+  EXPECT_NE(lines[0].find("\"tree_edges\":0"), std::string::npos) << lines[0];
+  EXPECT_NE(lines[0].find("\"reached\":0"), std::string::npos) << lines[0];
+}
+
 TEST(Cli, ListModePrintsRegistry) {
   int exit_code = -1;
   const auto lines = run_cli_lines({"list"}, &exit_code);

@@ -6,7 +6,9 @@
 //  (3) faulty executions are bit-reproducible: the same plan twice gives
 //      identical trees, ledgers, and robustness counters;
 //  (4) reorder plans do not perturb order-robust programs;
-//  (5) crashes take nodes out (permanent) and restarts bring them back;
+//  (5) crashes take nodes out (permanent) and restarts bring them back; a
+//      sender that crashes for good does not hold the run open, and a root
+//      that is down from round 0 floods when it restarts;
 //  (6) max_rounds caps gracefully (rounds_capped, no throw);
 //  (7) the CostStats JSON schema only grows the robustness keys when a
 //      counter is nonzero (fault-free records keep their historic bytes).
@@ -14,6 +16,7 @@
 
 #include <string>
 
+#include "api/scenario.h"
 #include "congest/bfs.h"
 #include "congest/fault.h"
 #include "congest/stats.h"
@@ -164,15 +167,20 @@ TEST(FaultScheduler, ReorderAloneDoesNotPerturbOrderRobustPrograms) {
 
 TEST(FaultScheduler, PermanentCrashesLeaveUnreachedVertices) {
   // path graph: crashing any interior vertex permanently cuts the suffix
-  // off. With crash=1 every vertex crashes somewhere in the horizon, so the
-  // root's side shrinks but the run still terminates (dead-link give-up).
+  // off. Under this plan the root stays up, a sender crashes for good with
+  // a frame in flight, and its neighbours give up on the links to crashed
+  // vertices after kMaxRetries, so the run ends below the round cap with
+  // the root's side of the path reached.
   const WeightedGraph g = path_graph(16, WeightLaw::kUniform, 10.0, 11);
   SchedulerOptions sched;
-  sched.fault.seed = 5;
-  sched.fault.crash = 1.0;
-  sched.fault.crash_horizon = 8;
+  sched.fault.seed = 4;
+  sched.fault.crash = 0.3;
+  sched.fault.crash_horizon = 16;
   const BfsTreeResult r = build_bfs_tree_reliable(g, 0, sched);
   EXPECT_GT(r.cost.crashed_nodes, 0u);
+  EXPECT_GT(r.cost.retransmitted, 0u);
+  EXPECT_EQ(r.cost.rounds_capped, 0u);
+  EXPECT_GT(r.reached, 1);
   EXPECT_LT(r.reached, 16);
   for (VertexId v = 0; v < 16; ++v)
     if (r.depth[v] < 0) EXPECT_EQ(r.parent[v], kNoVertex) << v;
@@ -183,9 +191,9 @@ TEST(FaultScheduler, PermanentCrashesLeaveUnreachedVertices) {
 }
 
 TEST(FaultScheduler, RestartingCrashesRecoverTheFullTree) {
-  // crash-recover with stable storage: the transport retransmits until the
-  // node is back, so every vertex is eventually reached and the tree is the
-  // same canonical fixpoint as the fault-free run.
+  // crash-recover with stable storage: the reliable BFS retransmits until
+  // the node is back, so every vertex is eventually reached and the tree is
+  // the same canonical fixpoint as the fault-free run.
   const WeightedGraph g = path_graph(12, WeightLaw::kUniform, 10.0, 11);
   SchedulerOptions sched;
   sched.fault.seed = 9;
@@ -196,6 +204,58 @@ TEST(FaultScheduler, RestartingCrashesRecoverTheFullTree) {
   const BfsTreeResult r = build_bfs_tree_reliable(g, 0, sched);
   EXPECT_GT(r.cost.crashed_nodes, 0u);
   expect_same_tree(clean, r, "path12/restart");
+}
+
+TEST(FaultScheduler, PermanentlyCrashedSendersDoNotHoldTheRunOpen) {
+  // A sender that crashes for good with a frame in flight is never run
+  // again, so it neither ticks nor keeps the run alive: each of these runs
+  // ends well below the round cap, and identically at threads=4.
+  api::ScenarioSpec spec;
+  spec.family = "er";
+  spec.n = 64;
+  const WeightedGraph g = api::materialize(spec);
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    SchedulerOptions sched;
+    sched.fault.seed = seed;
+    sched.fault.crash = 0.3;
+    sched.fault.crash_horizon = 6;
+    const BfsTreeResult r = build_bfs_tree_reliable(g, 0, sched);
+    const std::string context = "er64/seed=" + std::to_string(seed);
+    EXPECT_EQ(r.cost.rounds_capped, 0u) << context;
+    EXPECT_LT(r.cost.rounds, 1000u) << context;
+    EXPECT_GT(r.reached, 1) << context;
+    SchedulerOptions parallel = sched;
+    parallel.threads = 4;
+    const BfsTreeResult p = build_bfs_tree_reliable(g, 0, parallel);
+    expect_same_tree(r, p, context + "/threads=4");
+    EXPECT_EQ(r.cost.rounds, p.cost.rounds) << context;
+    EXPECT_EQ(r.cost.retransmitted, p.cost.retransmitted) << context;
+  }
+}
+
+TEST(FaultScheduler, RootDownFromRoundZeroFloodsAfterItsRestart) {
+  // Every vertex, the root included, is down from round 0 and restarts in
+  // round 3: the root floods on its first run, so the tree is the
+  // fault-free one.
+  api::ScenarioSpec spec;
+  spec.family = "er";
+  spec.n = 64;
+  const WeightedGraph g = api::materialize(spec);
+  SchedulerOptions sched;
+  sched.fault.seed = 1;
+  sched.fault.crash = 1.0;
+  sched.fault.crash_horizon = 1;
+  sched.fault.restart_after = 3;
+  const BfsTreeResult clean = build_bfs_tree(g, 0);
+  for (int threads : {1, 4}) {
+    sched.threads = threads;
+    const BfsTreeResult r = build_bfs_tree_reliable(g, 0, sched);
+    const std::string context = "er64/threads=" + std::to_string(threads);
+    EXPECT_EQ(r.cost.crashed_nodes, 64u) << context;
+    expect_same_tree(clean, r, context);
+    // The plain flood starts at the root's restart too.
+    expect_same_tree(clean, build_bfs_tree(g, 0, sched), context + "/plain");
+  }
 }
 
 TEST(FaultScheduler, MaxRoundsCapsGracefully) {

@@ -4,13 +4,15 @@
 //  (3) produces the identical ledger under full_sweep and active-set
 //      scheduling (the model costs; inbox_reallocs is simulator
 //      instrumentation and exempt, matching scheduler_fast_path_test),
-//  (4) honors the RunContext ledger sink.
+//  (4) produces the same artifact and ledger at threads 2/4/8 as serially,
+//      fault-free and under a fault plan.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "api/registry.h"
 #include "api/scenario.h"
+#include "api/validate.h"
 #include "graph/generators.h"
 #include "tests/test_util.h"
 
@@ -173,53 +175,51 @@ TEST(Registry, FullSweepAndActiveSetLedgersAreIdentical) {
 TEST(Registry, ThreadSweepIsBitIdenticalForEveryConstruction) {
   // The scheduler's parallel determinism contract, enforced registry-wide:
   // every construction run at threads ∈ {2, 4, 8} must produce the same
-  // artifact (edges, vertices, diagnostics) and the same model-cost ledger
+  // outcome, artifact (edges, vertices, diagnostics) and model-cost ledger
   // as the serial run — including the serialized form, since records and
-  // ledgers are what the sweep driver byte-compares.
-  for (const auto& [gname, g] : registry_graphs()) {
-    for (const Construction* c : api::all_constructions()) {
-      RunContext serial;
-      serial.seed = 5;
-      const Artifact a = c->run(g, ConstructionParams{}, serial);
-      const std::string serial_json = congest::to_json(a.ledger);
-      for (int threads : {2, 4, 8}) {
-        const std::string context = gname + "/" + std::string(c->name()) +
-                                    "/threads=" + std::to_string(threads);
-        const Artifact b =
-            c->run(g, ConstructionParams{}, serial.with_threads(threads));
-        expect_same_artifact(a, b, context);
-        EXPECT_EQ(serial_json, congest::to_json(b.ledger)) << context;
+  // ledgers are what the sweep driver byte-compares. Fault plans run at the
+  // requested thread count too: their drops, crashes, restarts and
+  // reorders land identically at every count.
+  RunContext faulty;
+  faulty.sched.fault.seed = 9;
+  faulty.sched.fault.drop = 0.05;
+  faulty.sched.fault.crash = 0.1;
+  faulty.sched.fault.crash_horizon = 8;
+  faulty.sched.fault.restart_after = 4;
+  faulty.sched.fault.reorder = true;
+  for (const RunContext& base : {RunContext{}, faulty}) {
+    const bool clean = !base.sched.fault.enabled();
+    const RunContext serial = base.with_seed(5);
+    for (const auto& [gname, g] : registry_graphs()) {
+      for (const Construction* c : api::all_constructions()) {
+        const api::OutcomeRun a =
+            api::run_with_outcome(*c, g, ConstructionParams{}, serial);
+        if (clean) EXPECT_EQ(a.error, "") << gname << "/" << c->name();
+        const std::string serial_json = congest::to_json(a.artifact.ledger);
+        for (int threads : {2, 4, 8}) {
+          const std::string context =
+              std::string(clean ? "clean/" : "faulty/") + gname + "/" +
+              std::string(c->name()) + "/threads=" + std::to_string(threads);
+          const api::OutcomeRun b = api::run_with_outcome(
+              *c, g, ConstructionParams{}, serial.with_threads(threads));
+          EXPECT_EQ(a.error, b.error) << context;
+          EXPECT_EQ(a.validation.outcome, b.validation.outcome) << context;
+          EXPECT_EQ(a.validation.failures, b.validation.failures) << context;
+          expect_same_artifact(a.artifact, b.artifact, context);
+          EXPECT_EQ(serial_json, congest::to_json(b.artifact.ledger))
+              << context;
+        }
       }
     }
   }
 }
 
-TEST(Registry, LedgerSinkReceivesEveryPhase) {
-  const WeightedGraph g =
-      erdos_renyi(24, 0.25, WeightLaw::kUniform, 20.0, 17);
-  for (const Construction* c : api::all_constructions()) {
-    congest::RoundLedger sink;
-    RunContext ctx;
-    ctx.seed = 3;
-    ctx.ledger_sink = &sink;
-    const Artifact a = c->run(g, ConstructionParams{}, ctx);
-    EXPECT_EQ(sink.phases().size(), a.ledger.phases().size())
-        << c->name();
-    EXPECT_EQ(sink.total().rounds, a.ledger.total().rounds) << c->name();
-    EXPECT_EQ(sink.total().messages, a.ledger.total().messages)
-        << c->name();
-  }
-}
-
-TEST(RunContext, ChildDetachesSinkAndSplitsSeed) {
-  congest::RoundLedger sink;
+TEST(RunContext, ChildSplitsSeedAndKeepsSchedulerMode) {
   RunContext ctx;
   ctx.seed = 10;
-  ctx.ledger_sink = &sink;
   ctx.sched.full_sweep = true;
   const RunContext child = ctx.child(3);
   EXPECT_EQ(child.seed, 10u ^ 3u);
-  EXPECT_EQ(child.ledger_sink, nullptr);
   EXPECT_TRUE(child.sched.full_sweep);
   EXPECT_EQ(ctx.with_seed(99).seed, 99u);
 }

@@ -1,10 +1,11 @@
-// Reliable-transport tests (congest/reliable.h):
+// Reliable BFS tests (build_bfs_tree_reliable, whose program keeps its own
+// per-link stop-and-wait):
 //  (1) on a clean network the reliable BFS matches the plain BFS tree
 //      bit-for-bit and never retransmits;
 //  (2) over a lossy network it converges to the SAME tree (the canonical
-//      fixpoint) and the retransmission counter matches the drop counter —
-//      stop-and-wait turns every dropped frame or ack into exactly one
-//      retransmission;
+//      fixpoint) at threads 1 and 4, and the retransmission counter matches
+//      the drop counter — stop-and-wait turns every dropped frame or ack
+//      into exactly one retransmission;
 //  (3) heavy loss (25%) still converges; loss on down links (link_fail
 //      intervals) still converges.
 #include <gtest/gtest.h>
@@ -50,10 +51,15 @@ TEST(ReliableBfs, LossyNetworkConvergesToTheFaultFreeTree) {
   lossy.fault.drop = 0.05;
   for (const auto& [name, g] : testing::small_graph_zoo()) {
     const BfsTreeResult plain = build_bfs_tree(g, 0);
-    const BfsTreeResult recovered = build_bfs_tree_reliable(g, 0, lossy);
-    expect_same_tree(plain, recovered, name);
-    // Every drop costs exactly one retransmission under stop-and-wait.
-    EXPECT_EQ(recovered.cost.retransmitted, recovered.cost.dropped) << name;
+    for (int threads : {1, 4}) {
+      lossy.threads = threads;
+      const BfsTreeResult recovered = build_bfs_tree_reliable(g, 0, lossy);
+      const std::string context = name + "/threads=" + std::to_string(threads);
+      expect_same_tree(plain, recovered, context);
+      // Every drop costs exactly one retransmission under stop-and-wait.
+      EXPECT_EQ(recovered.cost.retransmitted, recovered.cost.dropped)
+          << context;
+    }
   }
 }
 

@@ -104,8 +104,8 @@ TEST(ParallelScheduler, FaultPlanBitIdenticalAcrossThreadCounts) {
   faulty.fault.reorder = true;
   faulty.max_rounds = 4000;
   for (const auto& [name, g] : small_graph_zoo()) {
-    // Bellman-Ford tolerates unreached vertices (a lossy plan without a
-    // transport can cut parts of the graph off), so it can run the whole
+    // Bellman-Ford tolerates unreached vertices (a lossy plan without
+    // retransmissions can cut parts of the graph off), so it can run the whole
     // adversarial plan unreliably — the outcome must still be a pure
     // function of the plan, not of the thread count.
     const std::vector<VertexId> sources = {0};
@@ -174,22 +174,56 @@ TEST(ParallelScheduler, ReceiverScanRoundsAreDeterministic) {
   EXPECT_EQ(a.cost.rounds_receiver_scan, b.cost.rounds_receiver_scan);
 }
 
-// The reliable transport's per-link state machine is serial; entry points
-// that use it clamp the thread knob rather than erroring, so a sweep
-// driver can pass threads=4 everywhere.
-TEST(ParallelScheduler, ReliableEntryPointClampsToSerial) {
-  const WeightedGraph g = grid(6, 6, /*perturb=*/true, 15);
-  SchedulerOptions faulty = with_threads(4);
-  faulty.fault.seed = 3;
-  faulty.fault.drop = 0.1;
-  faulty.max_rounds = 4000;
-  const BfsTreeResult reliable = build_bfs_tree_reliable(g, 0, faulty);
-  SchedulerOptions serial_faulty = faulty;
-  serial_faulty.threads = 1;
-  const BfsTreeResult serial = build_bfs_tree_reliable(g, 0, serial_faulty);
-  EXPECT_EQ(serial.parent, reliable.parent);
-  EXPECT_EQ(serial.cost.rounds, reliable.cost.rounds);
-  EXPECT_EQ(serial.cost.retransmitted, reliable.cost.retransmitted);
+// The reliable BFS keeps its stop-and-wait state per directed link and its
+// retransmission count per lane, so lanes never share a slot: under drop,
+// link-fail and crash-restart plans its trees, CostStats and robustness
+// counters at threads 2/4/8 equal the serial run's.
+TEST(ParallelScheduler, ReliableBfsBitIdenticalAcrossThreadCounts) {
+  std::vector<std::pair<std::string, FaultPlan>> plans(3);
+  plans[0].first = "drop";
+  plans[0].second.seed = 3;
+  plans[0].second.drop = 0.1;
+  plans[0].second.reorder = true;
+  plans[1].first = "link_fail";
+  plans[1].second.seed = 21;
+  plans[1].second.link_fail = 0.2;
+  plans[1].second.link_period = 8;
+  plans[2].first = "crash_restart";
+  plans[2].second.seed = 2;
+  plans[2].second.crash = 0.3;
+  plans[2].second.crash_horizon = 6;
+  plans[2].second.restart_after = 5;
+  plans[2].second.drop = 0.05;
+  std::vector<lightnet::testing::NamedGraph> graphs = small_graph_zoo();
+  graphs.push_back({"grid12x12", grid(12, 12, /*perturb=*/true, 15)});
+  graphs.push_back(
+      {"er160", erdos_renyi(160, 0.04, WeightLaw::kUniform, 20.0, 5)});
+  for (const auto& [plan_name, plan] : plans) {
+    SchedulerOptions faulty;
+    faulty.fault = plan;
+    for (const auto& [name, g] : graphs) {
+      const BfsTreeResult serial = build_bfs_tree_reliable(g, 0, faulty);
+      for (int threads : {2, 4, 8}) {
+        SchedulerOptions par_options = faulty;
+        par_options.threads = threads;
+        const BfsTreeResult par = build_bfs_tree_reliable(g, 0, par_options);
+        const std::string context = name + "/" + plan_name +
+                                    " threads=" + std::to_string(threads);
+        expect_same_model_cost(serial.cost, par.cost, context);
+        EXPECT_EQ(serial.parent, par.parent) << context;
+        EXPECT_EQ(serial.depth, par.depth) << context;
+        EXPECT_EQ(serial.reached, par.reached) << context;
+        EXPECT_EQ(serial.cost.dropped, par.cost.dropped) << context;
+        EXPECT_EQ(serial.cost.retransmitted, par.cost.retransmitted)
+            << context;
+        EXPECT_EQ(serial.cost.rounds_lost, par.cost.rounds_lost) << context;
+        EXPECT_EQ(serial.cost.crashed_nodes, par.cost.crashed_nodes)
+            << context;
+        EXPECT_EQ(serial.cost.rounds_capped, par.cost.rounds_capped)
+            << context;
+      }
+    }
+  }
 }
 
 // Never quiescent, and round r puts r + 1 messages on the first link: the

@@ -11,8 +11,8 @@
 //     the same resolved spec (wall=0);
 //   - scenario + substrate sharing across constructions, eviction and
 //     admission refusals (responses unchanged), scheduler arena adoptions;
-//   - the reliable-transport serial clamp is applied and reported at the
-//     service boundary, and clamped/serial twins get distinct cache keys;
+//   - fault plans run at the requested thread count: a threads=4 record
+//     equals its serial twin's apart from "threads", under its own key;
 //   - protocol errors: malformed JSON, bad ops, container ids, sweep specs.
 #include "service/server.h"
 
@@ -348,26 +348,30 @@ TEST(ServiceServer, DegradedRunRoundTripsThroughCacheUnchanged) {
   EXPECT_NE(cold.find("\"validation\":{"), std::string::npos) << cold;
 }
 
-TEST(ServiceServer, FaultPlusThreadsIsClampedAndReported) {
+TEST(ServiceServer, FaultPlusThreadsMatchesSerialTwin) {
   LightnetServer server;
-  const std::string clamped = server.handle_line(run_line(
+  const std::string spec =
       "construction=bfs_tree topology=path n=48 seed=1 quality=0 "
-      "fault.drop=0.05 fault.seed=1 threads=4"));
-  EXPECT_NE(clamped.find("\"threads_clamped\":true"), std::string::npos)
-      << clamped;
-  const std::string serial = server.handle_line(run_line(
-      "construction=bfs_tree topology=path n=48 seed=1 quality=0 "
-      "fault.drop=0.05 fault.seed=1"));
-  EXPECT_EQ(serial.find("\"threads_clamped\""), std::string::npos) << serial;
-  // Keyed as requested: the clamped run must not alias its serial twin.
+      "fault.drop=0.05 fault.seed=1";
+  const std::string parallel =
+      server.handle_line(run_line(spec + " threads=4"));
+  const std::string serial = server.handle_line(run_line(spec));
+  EXPECT_NE(parallel.find("\"threads\":4"), std::string::npos) << parallel;
+  EXPECT_NE(parallel.find("\"retransmitted\":"), std::string::npos)
+      << parallel;
+  // Distinct keys: the records differ by the "threads" field.
   const auto key_of = [](const std::string& r) {
     const std::size_t pos = r.find("\"key\":\"");
     return r.substr(pos + 7, 16);
   };
-  EXPECT_NE(key_of(clamped), key_of(serial));
-  const std::string stats = server.stats_json();
-  EXPECT_EQ(stat(stats, "artifact", "misses"), 2u);  // two distinct entries
-  EXPECT_NE(stats.find("\"threads_clamped\":1"), std::string::npos) << stats;
+  EXPECT_NE(key_of(parallel), key_of(serial));
+  EXPECT_EQ(stat(server.stats_json(), "artifact", "misses"), 2u);
+  const auto record_of = [](const std::string& r) {
+    return r.substr(r.find("\"record\":"));
+  };
+  std::string stripped = record_of(parallel);
+  stripped.erase(stripped.find(",\"threads\":4"), 12);
+  EXPECT_EQ(stripped, record_of(serial));
 }
 
 TEST(ServiceServer, ScenarioAndSubstratesSharedAcrossConstructions) {
